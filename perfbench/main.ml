@@ -159,7 +159,7 @@ let counter_total name (r : Prof.report) =
   let of_list l = Option.value ~default:0 (List.assoc_opt name l) in
   fold_nodes (fun acc (n : Prof.node) -> acc + of_list n.counters) (of_list r.root_counters) r.spans
 
-let is_bench (n : Prof.node) = String.length n.name > 6 && String.sub n.name 0 6 = "bench."
+let is_bench (n : Prof.node) = String.starts_with ~prefix:"bench." n.name
 
 (* Time inside [bench.protocols.advantage] not spent in the benchmark's
    sampler and statistic spans beneath it: the advantage machinery.  On

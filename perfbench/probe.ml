@@ -1,7 +1,7 @@
 (* Benchmark-side spans: [Prof.span] plus the process's resource deltas
    across the call, charged to the span's name.
 
-   Page faults come from /proc/self/stat and VmRSS from
+   Minor page faults come from /proc/self/stat and VmRSS from
    /proc/self/status, so they are process-wide: a span running on one
    Par lane is also charged whatever the other lanes faulted meanwhile.
    GC words come from [Gc.quick_stat], which in OCaml 5.1 may lag the
@@ -10,13 +10,12 @@
 
 type totals = {
   minflt : int;
-  majflt : int;
   rss_kb : int;  (** VmRSS growth, summed over calls *)
   minor_words : float;
   major_words : float;
 }
 
-let zero = { minflt = 0; majflt = 0; rss_kb = 0; minor_words = 0.0; major_words = 0.0 }
+let zero = { minflt = 0; rss_kb = 0; minor_words = 0.0; major_words = 0.0 }
 let guard = Mutex.create ()
 let table : (string, totals) Hashtbl.t = Hashtbl.create 16
 
@@ -39,7 +38,6 @@ let charge name b a =
       Hashtbl.replace table name
         {
           minflt = t.minflt + (a.st.minflt - b.st.minflt);
-          majflt = t.majflt + (a.st.majflt - b.st.majflt);
           rss_kb = t.rss_kb + (a.rss - b.rss);
           minor_words = t.minor_words +. (a.gc.minor_words -. b.gc.minor_words);
           major_words = t.major_words +. (a.gc.major_words -. b.gc.major_words);

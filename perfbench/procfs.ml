@@ -26,7 +26,7 @@ let parse_kb s ~key =
   let plen = String.length prefix in
   List.find_map
     (fun line ->
-      if String.length line > plen && String.sub line 0 plen = prefix then
+      if String.starts_with ~prefix line then
         match words (String.sub line plen (String.length line - plen)) with
         | v :: _ -> int_of_string_opt v
         | [] -> None

@@ -134,16 +134,12 @@ let test_preflight () =
   check_bool "fits" true (Result.is_ok (Memplan.preflight ~needed:1e9 ~available_kb:(Some 2_000_000)));
   check_bool "unknown availability runs" true
     (Result.is_ok (Memplan.preflight ~needed:1e12 ~available_kb:None));
-  match Memplan.preflight ~needed:3e9 ~available_kb:(Some 1_000_000) with
-  | Ok () -> Alcotest.fail "3 GB cannot fit in 1 GB"
-  | Error msg ->
-      check_bool "message names both sizes" true
-        (let has s =
-           let ls = String.length s and lm = String.length msg in
-           let rec go i = i + ls <= lm && (String.sub msg i ls = s || go (i + 1)) in
-           go 0
-         in
-         has "3.00 GB" && has "1.02 GB")
+  Alcotest.(check (result unit string))
+    "names both sizes"
+    (Error
+       "needs an estimated 3.00 GB working set but MemAvailable is 1.02 GB; refusing \
+        to start rather than be OOM-killed")
+    (Memplan.preflight ~needed:3e9 ~available_kb:(Some 1_000_000))
 
 let () =
   Alcotest.run "perfbench"
