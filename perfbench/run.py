@@ -6,9 +6,8 @@
 Builds perfbench/main.exe with dune inside the source tree this script
 belongs to (into its _build directory, with the shared dune cache off
 so nothing is written outside the tree), then runs it once with the
-given arguments plus the host's usable CPU count.  The benchmark's
-stdout passes through unchanged; its last line is the JSON result.
-The exit code is the benchmark's, or 2 when the tree cannot be built
+given arguments.  The benchmark's stdout passes through unchanged; its
+last line is the JSON result.  The exit code is the benchmark's, or 2 when the tree cannot be built
 (for instance, when only the benchmark files are present).
 """
 
@@ -58,11 +57,7 @@ def main():
         cwd=ROOT, env=env, stdout=sys.stderr, stderr=sys.stderr)
     if build.returncode != 0 or not os.path.exists(EXE):
         fail("build failed (dune exit %d)" % build.returncode)
-    try:
-        nproc = len(os.sched_getaffinity(0))
-    except AttributeError:
-        nproc = os.cpu_count() or 1
-    cmd = [EXE] + sys.argv[1:] + ["--nproc", str(nproc)]
+    cmd = [EXE] + sys.argv[1:]
     # The fingerprint's `git describe` must not pick up a repository
     # above the tree.
     env = dict(os.environ, GIT_CEILING_DIRECTORIES=os.path.dirname(ROOT))

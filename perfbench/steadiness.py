@@ -1,20 +1,25 @@
 #!/usr/bin/env python3
 """Check how steady the benchmark's end-to-end metrics are.
 
-    python3 perfbench/steadiness.py --runs 10 --first-seed 1 [--workloads a,b] \
-        [--out set1.json] [--compare set0.json]
+    python3 perfbench/steadiness.py --runs 10 --sets 2 --first-seed 1 \
+        [--workloads a,b] [--out runs.json]
 
-Runs every workload (or the listed ones) --runs times untraced, each
-with its own seed, at BENCHMARK.json's run_seconds, and prints for each
-end-to-end metric the median of the per-run values and their spread:
-the distance between the first and third quartile
+Runs every workload (or the listed ones) --sets x --runs times untraced,
+each run with its own seed, at BENCHMARK.json's run_seconds.  The sets
+are interleaved: round i runs, for every workload, run i of each set in
+turn, so a drift in host speed reaches every set alike.  For each set
+and end-to-end metric it prints the median of the per-run values and
+their spread: the distance between the first and third quartile
 (statistics.quantiles(values, n=4)) as a share of the median.  A spread
 within the metric's bound passes; below a third of it counts as steady.
---compare prints, per metric, how far this set's median moved from an
-earlier set's in the metric's worse direction, against the same bound.
+With two or more sets it then prints, per metric, the worst shift of
+one set's median from another's in the metric's worse direction,
+against the same bound.  Every metric is checked, setup_s included.
+Exits 1 when a spread or a shift exceeds its bound.
 """
 
 import argparse
+import itertools
 import json
 import os
 import statistics
@@ -45,13 +50,18 @@ def spread(values):
     return (q3 - q1) / med if med else float("inf")
 
 
+def worse_shift(old, new, better):
+    """How much worse [new] is than [old], as a share of [old]."""
+    return (new - old) / old if better == "lower" else (old - new) / old
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--runs", type=int, default=10)
+    ap.add_argument("--sets", type=int, default=2)
     ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--workloads", default="")
     ap.add_argument("--out")
-    ap.add_argument("--compare")
     args = ap.parse_args()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
@@ -59,43 +69,43 @@ def main():
     if args.workloads:
         names = args.workloads.split(",")
     metrics = {m["name"]: m for m in spec["end_to_end"]}
-    runs = {}
-    for w in names:
-        runs[w] = []
-        for i in range(args.runs):
-            seed = args.first_seed + i
-            runs[w].append(run_once(w, seed, spec["run_seconds"]))
-            print("%s seed %d done" % (w, seed), file=sys.stderr)
+    runs = {w: [[] for _ in range(args.sets)] for w in names}
+    for i in range(args.runs):
+        for w in names:
+            for s in range(args.sets):
+                seed = args.first_seed + s * args.runs + i
+                runs[w][s].append(run_once(w, seed, spec["run_seconds"]))
+                print("%s set %d seed %d done" % (w, s, seed), file=sys.stderr)
     if args.out:
         with open(args.out, "w") as f:
             json.dump(runs, f, indent=1)
-    before = None
-    if args.compare:
-        with open(args.compare) as f:
-            before = json.load(f)
     ok = True
-    print("%-13s %-15s %14s %8s %6s  %s" % ("workload", "metric", "median", "spread", "bound", "verdict"))
+    print("%-13s %-15s %3s %14s %8s %6s  %s" % (
+        "workload", "metric", "set", "median", "spread", "bound", "verdict"))
     for w in names:
         for name, m in metrics.items():
-            values = [r[name] for r in runs[w]]
-            med = statistics.median(values)
-            sp = spread(values) if len(values) >= 2 else 0.0
-            if name == "setup_s":
-                verdict = "spread not gated"
-            elif sp <= m["bound"] / 3:
-                verdict = "steady"
-            elif sp <= m["bound"]:
-                verdict = "within bound"
-            else:
-                verdict, ok = "TOO WIDE", False
-            if before is not None and w in before:
-                old = statistics.median([r[name] for r in before[w]])
-                worse = (med - old) / old if m["better"] == "lower" else (old - med) / old
-                moved = "median moved %+.3f" % worse
-                if worse > m["bound"]:
-                    moved, ok = moved + " WORSE THAN BOUND", False
-                verdict += "; " + moved
-            print("%-13s %-15s %14.6g %8.4f %6.3f  %s" % (w, name, med, sp, m["bound"], verdict))
+            medians = []
+            for s, set_runs in enumerate(runs[w]):
+                values = [r[name] for r in set_runs]
+                med = statistics.median(values)
+                medians.append(med)
+                sp = spread(values) if len(values) >= 2 else 0.0
+                if sp <= m["bound"] / 3:
+                    verdict = "steady"
+                elif sp <= m["bound"]:
+                    verdict = "within bound"
+                else:
+                    verdict, ok = "TOO WIDE", False
+                print("%-13s %-15s %3d %14.6g %8.4f %6.3f  %s" % (
+                    w, name, s, med, sp, m["bound"], verdict))
+            if len(medians) >= 2:
+                shift = max(worse_shift(a, b, m["better"])
+                            for a, b in itertools.permutations(medians, 2))
+                verdict = "within bound" if shift <= m["bound"] else "WORSE THAN BOUND"
+                if shift > m["bound"]:
+                    ok = False
+                print("%-13s %-15s %3s %14s %8.4f %6.3f  worst median shift: %s" % (
+                    w, name, "all", "", shift, m["bound"], verdict))
     sys.exit(0 if ok else 1)
 
 

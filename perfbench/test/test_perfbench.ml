@@ -6,41 +6,17 @@ let check_int = Alcotest.(check int)
 let check_float = Alcotest.(check (float 1e-9))
 let check_int_opt = Alcotest.(check (option int))
 let check_string_opt = Alcotest.(check (option string))
-let range a b = Array.init (b - a + 1) (fun i -> float_of_int (a + i))
 
-(* ---------------------------------------------------------- Pstats *)
+(* ------------------------------------------------------ Percentiles *)
 
-let test_median () =
-  check_float "odd" 3.0 (Pstats.median [| 5.0; 1.0; 3.0 |]);
-  check_float "even averages the middle two" 2.5 (Pstats.median [| 4.0; 1.0; 3.0; 2.0 |]);
-  check_float "single" 7.0 (Pstats.median [| 7.0 |]);
-  let xs = [| 3.0; 1.0; 2.0 |] in
-  ignore (Pstats.median xs);
-  check_bool "input untouched" true (xs = [| 3.0; 1.0; 2.0 |]);
-  Alcotest.check_raises "empty" (Invalid_argument "Pstats: no samples") (fun () ->
-      ignore (Pstats.median [||]))
-
-let test_percentile_nearest_rank () =
-  check_float "p90 of 1..100" 90.0 (Pstats.percentile (range 1 100) 0.9);
-  check_float "p90 of 1..10" 9.0 (Pstats.percentile (range 1 10) 0.9);
-  check_float "p90 of 1..11 rounds the rank up" 10.0 (Pstats.percentile (range 1 11) 0.9);
-  check_float "p50 of 1..4 is an observed sample" 2.0 (Pstats.percentile (range 1 4) 0.5);
-  check_float "p100 is the maximum" 4.0 (Pstats.percentile (range 1 4) 1.0);
-  check_float "tiny q is the minimum" 1.0 (Pstats.percentile (range 1 4) 0.01);
-  check_float "order-free" 90.0
-    (Pstats.percentile (Array.init 100 (fun i -> float_of_int (100 - i))) 0.9);
-  Alcotest.check_raises "q = 0" (Invalid_argument "Pstats.percentile: q in (0, 1]")
-    (fun () -> ignore (Pstats.percentile (range 1 4) 0.0))
-
-let test_tail_support () =
-  check_int "100 samples leave 10 beyond p90" 10 (Pstats.samples_beyond ~n:100 0.9);
-  check_int "99 samples leave 9" 9 (Pstats.samples_beyond ~n:99 0.9);
-  check_int "no samples" 0 (Pstats.samples_beyond ~n:0 0.9);
-  check_bool "p90 needs 100 samples" true (Pstats.supports ~n:100 0.9);
-  check_bool "99 are not enough" false (Pstats.supports ~n:99 0.9);
-  check_bool "p99 needs 1000" true
-    (Pstats.supports ~n:1000 0.99 && not (Pstats.supports ~n:999 0.99));
-  check_bool "p50 of 20" true (Pstats.supports ~n:20 0.5)
+(* op_p50_ms and op_p90_ms are Stats.quantile: linear interpolation
+   between order statistics, on a copy of the samples. *)
+let test_percentile_rule () =
+  let ten = Array.init 10 (fun i -> float_of_int (10 - i)) in
+  check_float "p50 of 1..10 averages the middle two" 5.5 (Stats.quantile ten 0.5);
+  check_float "p90 of 1..10 interpolates 9 and 10" 9.1 (Stats.quantile ten 0.9);
+  check_float "p90 of one op is that op" 7.0 (Stats.quantile [| 7.0 |] 0.9);
+  check_bool "samples untouched" true (ten.(0) = 10.0 && ten.(9) = 1.0)
 
 (* ---------------------------------------------------------- Procfs *)
 
@@ -144,12 +120,7 @@ let test_preflight () =
 let () =
   Alcotest.run "perfbench"
     [
-      ( "pstats",
-        [
-          Alcotest.test_case "median" `Quick test_median;
-          Alcotest.test_case "nearest-rank percentile" `Quick test_percentile_nearest_rank;
-          Alcotest.test_case "tail support rule" `Quick test_tail_support;
-        ] );
+      ("percentiles", [ Alcotest.test_case "p50 and p90 rule" `Quick test_percentile_rule ]);
       ( "procfs",
         [
           Alcotest.test_case "stat fields after comm" `Quick test_parse_stat;

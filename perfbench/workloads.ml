@@ -2,7 +2,10 @@
    one process, one generator, op [i] drawing from [Prng.split ops i],
    the next op starting when the previous one completes.  An op runs its
    layer calls (timed) and returns a check that main runs after the
-   clock stops, so correctness checking never counts as op time.
+   clock stops, so correctness checking never counts as op time.  No
+   workload takes a warm-up op: each reports medians over its ops, and
+   every sparse-large instance pays its own first-touch page faults, as
+   a user's would.
 
    Span names follow [bench.<layer>.<call>], the layer being the lib/
    directory of the called function; the library's own kern:*, bcast:*
@@ -58,7 +61,6 @@ type t = {
   release : bool;  (** compact the heap after every op, outside the clock *)
   prepare : unit -> (string list, string) result;
       (** input set-up; [Error] refuses the run *)
-  warmup : Prng.t -> int -> unit -> bool;  (** the op set-up ends with *)
   op : Prng.t -> int -> unit -> bool;
       (** [op g i] runs op [i] on [g] and returns its correctness check *)
   finish : Prng.t -> (string * bool) list;  (** run-level checks *)
@@ -66,17 +68,15 @@ type t = {
 
 (* ------------------------------------------------------ sparse-large *)
 
-(* e31's pipeline at n = 2e5: sharded planted sampler, then Kucera's
-   degree recovery, checked for exact recovery.  The warm-up op runs the
-   same pipeline at n = 2e4 (1/30 of the entries), so set-up covers the
-   code paths and pool start while every timed instance still pays its
-   own first-touch page faults, as a user's would. *)
+(* e31's pipeline at n = 2e5, p = n^{-1/2}, k = 16 n^{1/4}: sharded
+   planted sampler, then Kucera's degree recovery, checked for exact
+   recovery. *)
 let sparse_large () =
   let module R = Clique.Recover (Graph_backend.Sparse_backend) in
-  (* e31's scaling: p = n^{-1/2}, k = 16 n^{1/4}. *)
-  let shape n = (1.0 /. Float.sqrt (foi n), int_of_float (Float.round (16.0 *. (foi n ** 0.25)))) in
-  let op_at n g _ =
-    let p, k = shape n in
+  let n = 200_000 in
+  let p = 1.0 /. Float.sqrt (foi n) in
+  let k = int_of_float (Float.round (16.0 *. (foi n ** 0.25))) in
+  let op g _ =
     let graph, clique =
       Probe.span "bench.graph.sample_planted_sharded" (fun () ->
           Sparse.sample_planted_sharded g ~n ~p ~k)
@@ -94,8 +94,6 @@ let sparse_large () =
       Float.abs (foi m -. expected_m) < 5.0 *. std_m
       && List.equal Int.equal recovered (List.sort_uniq Int.compare clique)
   in
-  let n = 200_000 in
-  let p, k = shape n in
   (* bcc-lint: allow det/float-format — human console report, never part of the result line *)
   let mb bytes = Printf.sprintf "%.1f MB" (bytes /. 1e6) in
   let prepare () =
@@ -124,12 +122,11 @@ let sparse_large () =
   in
   {
     name = "sparse-large";
-    params = [ ("n", Int n); ("p", Float p); ("k", Int k); ("warmup_n", Int 20_000) ];
+    params = [ ("n", Int n); ("p", Float p); ("k", Int k) ];
     lanes = 2;
     release = true;
     prepare;
-    warmup = op_at 20_000;
-    op = op_at n;
+    op;
     finish = (fun _ -> []);
   }
 
@@ -249,7 +246,6 @@ let sparse_many () =
     lanes = 1;
     release = false;
     prepare = (fun () -> Ok []);
-    warmup = op;
     op;
     finish;
   }
@@ -297,7 +293,6 @@ let bcast_clique () =
     lanes = 1;
     release = false;
     prepare = (fun () -> Ok []);
-    warmup = op;
     op;
     finish = (fun _ -> []);
   }
