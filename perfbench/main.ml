@@ -180,7 +180,8 @@ let sample_spans =
    sampler and statistic; the rest of its wall time is the advantage
    machinery.  Exact on one lane (sparse-many's pool); on several the
    callbacks overlap and the difference undercounts. *)
-let advantage_callbacks = [ "bench.graph.sample_rand"; "bench.graph.sample_planted"; "bench.kern.triangle_count" ]
+let advantage_callbacks =
+  [ "bench.graph.sample_rand"; "bench.graph.sample_planted"; "bench.kern.triangle_count" ]
 
 type traced = {
   report : Prof.report;
