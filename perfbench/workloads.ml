@@ -8,14 +8,14 @@
    a user's would.
 
    Span names follow [bench.<layer>.<call>], the layer being the lib/
-   directory of the called function; the library's own kern:*, bcast:*
-   and advantage:* spans nest beneath them in traced runs. *)
+   directory of the called function; the library's own kern:* and
+   bcast:* spans nest beneath them in traced runs. *)
 
 let foi = float_of_int
 
 (* Per-op quantities the profiler cannot see, summed over traced ops
-   only (they divide traced span times).  Sampler callbacks run on Par
-   lanes, hence the mutex. *)
+   only (they divide traced span times).  Only the calling domain
+   updates them. *)
 type tally = {
   mutable entries : float;  (** CSR entries of the sparse instances sampled *)
   mutable csr_bytes : float;  (** their computed size *)
@@ -37,9 +37,7 @@ let tally =
     successes = 0.0;
   }
 
-let tally_guard = Mutex.create ()
-
-let add_tally ~traced f = if traced then Mutex.protect tally_guard (fun () -> f tally)
+let add_tally ~traced f = if traced then f tally
 
 let tally_instance (g : Sparse.t) =
   add_tally ~traced:(Prof.enabled ()) (fun t ->
@@ -63,7 +61,6 @@ type t = {
       (** input set-up; [Error] refuses the run *)
   op : Prng.t -> int -> unit -> bool;
       (** [op g i] runs op [i] on [g] and returns its correctness check *)
-  finish : Prng.t -> (string * bool) list;  (** run-level checks *)
 }
 
 (* ------------------------------------------------------ sparse-large *)
@@ -127,127 +124,6 @@ let sparse_large () =
     release = true;
     prepare;
     op;
-    finish = (fun _ -> []);
-  }
-
-(* ------------------------------------------------------- sparse-many *)
-
-(* e30's part B: one op is one [Generic(Sparse_backend).advantage] call
-   of the triangle statistic with two calibration, two planted and two
-   null trials over G(4096, 0.02), with k cycling over {8, 32, 96}.
-   Every instance's statistic is recorded so the run can check detection
-   over all of them.
-
-   One lane: at two, the lanes stop together for every collection (this
-   workload runs ~100 major collections a second, driven by Bigarray
-   allocation), so CPU steal on either vCPU stalls both, and over ten
-   runs on a 2-vCPU VM the quartile spread of ops/s reached 0.17 and of
-   p90 0.27, against 0.09 and 0.13 on one lane. *)
-let sparse_many () =
-  let module DS = Distinguishers.Generic (Graph_backend.Sparse_backend) in
-  let module TS = Triangles.Of (Graph_backend.Sparse_backend) in
-  let n = 4096 and p = 0.02 in
-  let ks = [| 8; 32; 96 |] in
-  let calibration = 2 and trials = 2 in
-  let choose m r =
-    let acc = ref 1.0 in
-    for i = 0 to r - 1 do
-      acc := !acc *. foi (m - i) /. foi (i + 1)
-    done;
-    !acc
-  in
-  (* Triangles of G(n, p): mean C(n,3) p^3; variance adds the pairs of
-     triangles sharing one edge, 2 C(n,2) C(n-2,2) (p^5 - p^6). *)
-  let tri_mean = choose n 3 *. (p ** 3.0) in
-  let tri_std =
-    Float.sqrt
-      ((choose n 3 *. ((p ** 3.0) -. (p ** 6.0)))
-      +. (2.0 *. choose n 2 *. choose (n - 2) 2 *. ((p ** 5.0) -. (p ** 6.0))))
-  in
-  (* kind 0 = null instance, otherwise the planted clique size.  The
-     sampler tags its lane, the statistic (called next on the same lane
-     on the same trial) reads the tag. *)
-  let kind_key = Domain.DLS.new_key (fun () -> ref 0) in
-  let pooled = ref [] in
-  let op g i =
-    let k = ks.(i mod Array.length ks) in
-    let recs = ref [] in
-    let recs_guard = Mutex.create () in
-    let sampled kind name sample gt =
-      Domain.DLS.get kind_key := kind;
-      let graph = Probe.span name (fun () -> sample gt) in
-      tally_instance graph;
-      graph
-    in
-    let d =
-      {
-        DS.triangle_count with
-        statistic =
-          (fun gt graph ->
-            let v =
-              Probe.span "bench.kern.triangle_count" (fun () ->
-                  DS.triangle_count.statistic gt graph)
-            in
-            let kind = !(Domain.DLS.get kind_key) in
-            Mutex.protect recs_guard (fun () -> recs := (kind, v) :: !recs);
-            v);
-      }
-    in
-    let adv =
-      Probe.span "bench.protocols.advantage" (fun () ->
-          DS.advantage d
-            ~sample_rand:(sampled 0 "bench.graph.sample_rand" (fun gt ->
-                 Sparse.sample_rand gt ~n ~p))
-            ~sample_planted:(sampled k "bench.graph.sample_planted" (fun gt ->
-                 fst (Sparse.sample_planted gt ~n ~p ~k)))
-            ~calibration ~trials g)
-    in
-    (* A distinguisher's success is its balanced accuracy, (1 + adv) / 2. *)
-    add_tally ~traced:(Prof.enabled ()) (fun t ->
-        t.successes <- t.successes +. ((1.0 +. adv) /. 2.0));
-    fun () ->
-      let recs = !recs in
-      pooled := recs @ !pooled;
-      Float.abs adv <= 1.0
-      && List.length recs = calibration + (2 * trials)
-      && List.for_all
-           (fun (kind, v) ->
-             if kind = 0 then Float.abs (v -. tri_mean) <= 10.0 *. tri_std
-             else v >= choose kind 3)
-           recs
-  in
-  let finish root =
-    (* One instance through the dense pipeline: same triangle count. *)
-    let g = Sparse.sample_rand (Prng.split root 0) ~n ~p in
-    let dense_ok = TS.count g = Triangles.count (Sparse.to_digraph g) in
-    let of_kind k = List.filter_map (fun (kd, v) -> if kd = k then Some v else None) !pooled in
-    let nulls = of_kind 0 in
-    let null_max = List.fold_left Float.max Float.neg_infinity nulls in
-    let above k = List.filter (fun v -> v > null_max) (of_kind k) in
-    let k96 = of_kind 96 and k8 = of_kind 8 in
-    [
-      ("sparse triangle count = dense pipeline", dense_ok);
-      ( "k=96 detected (every planted statistic above the null maximum)",
-        nulls <> [] && k96 <> [] && List.length (above 96) = List.length k96 );
-      ( "k=8 not detected (at most half the planted statistics above the null maximum)",
-        nulls <> [] && k8 <> [] && 2 * List.length (above 8) <= List.length k8 );
-    ]
-  in
-  {
-    name = "sparse-many";
-    params =
-      [
-        ("n", Int n);
-        ("p", Float p);
-        ("k_cycle", List (Array.to_list (Array.map (fun k -> Artifact.Int k) ks)));
-        ("calibration", Int calibration);
-        ("trials", Int trials);
-      ];
-    lanes = 1;
-    release = false;
-    prepare = (fun () -> Ok []);
-    op;
-    finish;
   }
 
 (* ------------------------------------------------------ bcast-clique *)
@@ -294,7 +170,6 @@ let bcast_clique () =
     release = false;
     prepare = (fun () -> Ok []);
     op;
-    finish = (fun _ -> []);
   }
 
-let all = [ ("sparse-large", sparse_large); ("sparse-many", sparse_many); ("bcast-clique", bcast_clique) ]
+let all = [ ("sparse-large", sparse_large); ("bcast-clique", bcast_clique) ]
