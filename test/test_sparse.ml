@@ -132,7 +132,12 @@ let test_sample_gnp_stream_identity () =
             (Printf.sprintf "seed %d n=%d p=%g" seed n p)
             true
             (spgraph_equal (Sparse.of_digraph dense) sparse))
-        [ (64, 0.5); (128, 0.1); (256, 0.02); (100, 0.0); (50, 1.0) ])
+        [
+          (64, 0.5); (128, 0.1); (256, 0.02); (100, 0.0); (50, 1.0);
+          (* ~1.26 x 10^6 pairs: above the 2^20-pair switch to the
+             bucketed CSR build. *)
+          (4096, 0.15);
+        ])
     [ 1; 2; 42 ]
 
 let test_sample_gnp_advances_prng_identically () =
@@ -279,6 +284,81 @@ let test_sample_planted_sharded () =
             cs)
         cs)
     [ 1; 2; 42 ]
+
+(* ------------------------------------------------- golden digests *)
+
+(* Cross-commit pins for every sampler entry point: the [Digest] hex of
+   the CSR bytes ([row_ptr], then the [row_ptr.(n)] live columns, each
+   as a 64-bit little-endian word) and the caller's generator's next
+   [bits64] after the call.  Recorded before the CSR builders were
+   merged into one; a change to a builder, a decode or a draw order
+   shows up here even when both sides of every in-run oracle move
+   together.  The second size of each sampler has more than 2^20 pairs,
+   so both sides of the direct/bucketed build switch are pinned. *)
+let csr_digest (t : Bcc_kern.Spgraph.t) =
+  let live = t.Bcc_kern.Spgraph.row_ptr.(t.Bcc_kern.Spgraph.n) in
+  let b = Buffer.create (8 * (t.Bcc_kern.Spgraph.n + 1 + live)) in
+  Array.iter
+    (fun x -> Buffer.add_int64_le b (Int64.of_int x))
+    t.Bcc_kern.Spgraph.row_ptr;
+  for e = 0 to live - 1 do
+    Buffer.add_int64_le b
+      (Int64.of_int (Bcc_kern.Buf.int_get t.Bcc_kern.Spgraph.cols e))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let golden_sample name g ~n ~p =
+  match name with
+  | "sample_gnp" -> Sparse.sample_gnp g ~n ~p
+  | "sample_planted" -> fst (Sparse.sample_planted g ~n ~p ~k:64)
+  | "sample_gnp_sharded" -> Sparse.sample_gnp_sharded g ~n ~p
+  | "sample_planted_sharded" ->
+      fst (Sparse.sample_planted_sharded g ~n ~p ~k:64)
+  | _ -> invalid_arg name
+
+(* (sampler, n, p, seed, CSR digest, next bits64 as %016Lx); the planted
+   samplers use k = 64. *)
+let golden_csr =
+  [
+    ("sample_gnp", 2048, 0.02, 1,
+     "10f1238e4ba6e895b373af25e6f6fb42", "91dc7d640400c085");
+    ("sample_gnp", 2048, 0.02, 42,
+     "d6fdb1cd9b9304a592c666fc4eead5db", "d49a1341c307bcee");
+    ("sample_gnp", 4096, 0.15, 1,
+     "dbd4726102196c9869f7480b2e3f6d10", "02e814beb97f38b4");
+    ("sample_gnp", 4096, 0.15, 42,
+     "903c7608bebb93519b3a9b67a3964f64", "b24c1ba963a85326");
+    ("sample_planted", 4096, 0.15, 1,
+     "238a127cae9ec95ed4b7997a5936e2c6", "5c4fad6058bef368");
+    ("sample_planted", 4096, 0.15, 42,
+     "4776b5f59f6fb0b8d50de53d1493c177", "7c2880c246c1518e");
+    ("sample_gnp_sharded", 2048, 0.01, 1,
+     "61735327f99d1b243984f24e9d3cf1fc", "cfc5d07f6f03c29b");
+    ("sample_gnp_sharded", 2048, 0.01, 42,
+     "14828cc160cae529155f1f5862689e03", "d0764d4f4476689f");
+    ("sample_gnp_sharded", 16384, 0.01, 1,
+     "fc6357f862835f4702f153aa661363af", "cfc5d07f6f03c29b");
+    ("sample_gnp_sharded", 16384, 0.01, 42,
+     "24a41c33f10347e15b3ffc7a6a0519cf", "d0764d4f4476689f");
+    ("sample_planted_sharded", 16384, 0.01, 1,
+     "75bf001541d2ee1c398934d154306dc2", "b8417304fbde6f9e");
+    ("sample_planted_sharded", 16384, 0.01, 42,
+     "4c85308ca2e718f1c36c308a8e14e86d", "f6a0ce4c583f417f");
+  ]
+
+let test_golden_csr_digests () =
+  let row (name, n, p, seed, digest, next) =
+    (Printf.sprintf "%s n=%d p=%g seed=%d" name n p seed, digest, next)
+  in
+  let fresh (name, n, p, seed, _, _) =
+    let g = Prng.create seed in
+    let t = golden_sample name g ~n ~p in
+    row (name, n, p, seed, csr_digest t, Printf.sprintf "%016Lx" (Prng.bits64 g))
+  in
+  Alcotest.(check (list (triple string string string)))
+    "digest and next draw per sampler call"
+    (List.map row golden_csr)
+    (List.map fresh golden_csr)
 
 (* ------------------------------------------------- kernel equality *)
 
@@ -512,6 +592,11 @@ let () =
             test_sharded_edge_count_sane;
           Alcotest.test_case "sample_planted_sharded" `Quick
             test_sample_planted_sharded;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "sampler CSR digests" `Quick
+            test_golden_csr_digests;
         ] );
       ( "kernel oracle",
         [
