@@ -25,9 +25,9 @@
    cross-representation oracle (BENCH_sparse.json): sampler, core,
    triangle/K4 counts, degree sums, with in-run agreement required.
 
-   Part 6b sweeps the batched PRNG engine (Prng.Block fills, the block
-   G(n,p) sampler, the sharded sampler) against the scalar draw loops
-   they replace (BENCH_prng.json); the fill and block-sampler rows are
+   Part 6b sweeps the batched PRNG engine (BENCH_prng.json): the
+   Prng.Block fills against the scalar draw loops they replace, and the
+   sharded G(n,p) sampler against the block sampler.  The fill rows are
    exact-stream oracles, the sharded row a 6-sigma edge-count envelope.
 
    Part 7 ("compare") is the regression gate: it re-measures parts 4-6b
@@ -39,7 +39,7 @@
    envelope (params carry bench_schema_version; payload has one section
    per part).
 
-     dune exec bench/main.exe                     # everything
+     dune exec bench/main.exe                     # everything (also: all)
      dune exec bench/main.exe -- tables           # only the experiment tables
      dune exec bench/main.exe -- micro            # only the micro-benchmarks
      dune exec bench/main.exe -- par              # only the domain-count sweep
@@ -50,6 +50,9 @@
      dune exec bench/main.exe -- prng             # only the batched-draw sweep
      dune exec bench/main.exe -- compare          # regression gate vs baseline
      dune exec bench/main.exe -- compare --update # regenerate the baseline
+
+   Any other section name or flag prints this usage on stderr and exits
+   2.  --prof runs any selection under the hierarchical profiler.
 *)
 
 open Bechamel
@@ -914,16 +917,16 @@ let run_sparse ~quick () =
 
 (* ------------------------------------------------- batched-draw sweep *)
 
-(* Part 6b: the batched PRNG engine (Prng.Block) against the scalar draw
-   loops it replaces, plus the block/sharded G(n,p) samplers against the
-   frozen scalar sampler.  The fill rows are exact-stream oracles: block
-   and scalar consume the identical xoshiro256++ words, so the outputs
-   must agree byte for byte.  The sharded sampler reads a different
-   (documented) stream, so its oracle is statistical: the edge count must
-   sit within 6 sigma of the G(n,p) mean.  Honest expectations on this
-   class of hardware: fills are memory-streaming (2-4x over scalar),
-   whole-sampler rows include CSR construction and land lower — see
-   docs/PERFORMANCE.md "Batched draws". *)
+(* Part 6b: the batched PRNG engine's fills (Prng.Block) against the
+   scalar draw loops they replace, plus the sharded G(n,p) sampler
+   against the block sampler.  The fill rows are exact-stream oracles:
+   block and scalar consume the identical xoshiro256++ words, so the
+   outputs must agree byte for byte.  The sharded sampler reads a
+   different (documented) stream, so its oracle is statistical: the
+   edge count must sit within 6 sigma of the G(n,p) mean.  Honest
+   expectations on this class of hardware: fills are memory-streaming
+   (2-4x over scalar); the sampler row includes CSR construction on
+   both sides — see docs/PERFORMANCE.md "Batched draws". *)
 let run_prng ~quick () =
   Format.printf "=====================================================@.";
   Format.printf " Batched PRNG sweep (Prng.Block vs scalar draws)@.";
@@ -958,26 +961,6 @@ let run_prng ~quick () =
            if not (Int64.equal a.{i} b.{i}) then ok := false
          done;
          !ok));
-  let f64_a = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  let f64_b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
-  add
-    (kern_case ~reps ~group:"prng-fillf" ~case:case_len
-       ~naive:(fun () ->
-         let g = Prng.create 72 in
-         for i = 0 to len - 1 do
-           f64_a.{i} <- Prng.float g
-         done;
-         f64_a)
-       ~kern:(fun () ->
-         let g = Prng.create 72 in
-         Prng.Block.fill_float g f64_b ~pos:0 ~len;
-         f64_b)
-       ~equal:(fun a b ->
-         let ok = ref true in
-         for i = 0 to len - 1 do
-           if not (Float.equal a.{i} b.{i}) then ok := false
-         done;
-         !ok));
   let geo_p = 0.01 in
   let log1mp = Float.log (1.0 -. geo_p) in
   let cap = float_of_int (1 lsl 30) in
@@ -1003,20 +986,17 @@ let run_prng ~quick () =
            if a.{i} <> b.{i} then ok := false
          done;
          !ok));
-  (* Whole-sampler rows.  Block vs scalar is an exact oracle (identical
-     stream, identical graph); sharded reads its own documented stream so
-     the oracle is the 6-sigma edge-count envelope. *)
+  (* Whole-sampler row: the sharded sampler against the block sampler
+     it stands in for at scale.  It reads its own documented stream, so
+     the oracle is the 6-sigma edge-count envelope on both graphs.  (The
+     block sampler's exact-stream oracle, the dense decoder of the same
+     stream, is the sparse sweep's sample row.) *)
   let cases =
     if quick then [ (4096, 0.01) ] else [ (4096, 0.01); (16384, 0.005) ]
   in
   List.iter
     (fun (n, p) ->
       let case = Printf.sprintf "n=%d,p=1/%d" n (int_of_float (1.0 /. p)) in
-      add
-        (kern_case ~reps ~group:"prng-sample" ~case
-           ~naive:(fun () -> Sparse.sample_gnp_scalar (Prng.create 31) ~n ~p)
-           ~kern:(fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p)
-           ~equal:spgraph_equal);
       let pairs = float_of_int n *. float_of_int (n - 1) /. 2.0 in
       let mean = pairs *. p in
       let sigma = Float.sqrt (pairs *. p *. (1.0 -. p)) in
@@ -1027,7 +1007,7 @@ let run_prng ~quick () =
       in
       add
         (kern_case ~reps ~group:"prng-sharded" ~case
-           ~naive:(fun () -> Sparse.sample_gnp_scalar (Prng.create 31) ~n ~p)
+           ~naive:(fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p)
            ~kern:(fun () -> Sparse.sample_gnp_sharded (Prng.create 31) ~n ~p)
            ~equal:(fun a b -> in_envelope a && in_envelope b)))
     cases;
@@ -1264,12 +1244,35 @@ let run_compare ~update () =
     (fresh_payload, ok)
   end
 
+let sections =
+  [ "all"; "tables"; "micro"; "par"; "kern"; "graph"; "sparse"; "prng";
+    "compare" ]
+
+let flags = [ "--quick"; "--prof"; "--update" ]
+
+let usage () =
+  prerr_string
+    "usage: main.exe [SECTION] [--quick] [--prof] [--update]\n\
+    \  SECTION: all (default), tables, micro, par, kern, graph, sparse, prng,\n\
+    \           compare\n\
+    \  --quick   smaller sizes (CI)\n\
+    \  --prof    run under the hierarchical profiler (PROF_bench.json)\n\
+    \  --update  with compare: rewrite BENCH_baseline.json\n";
+  exit 2
+
 let () =
-  let what = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
-  let quick = Array.exists (String.equal "--quick") Sys.argv in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let named, rest = List.partition (fun a -> List.mem a flags) args in
+  let what =
+    match rest with
+    | [] -> "all"
+    | [ s ] when List.mem s sections -> s
+    | _ -> usage ()
+  in
+  let quick = List.mem "--quick" named in
   (* --prof: run the selected sections under the hierarchical profiler and
      write PROF_bench.json / PROF_bench.trace.json alongside BENCH.json. *)
-  let prof = Array.exists (String.equal "--prof") Sys.argv in
+  let prof = List.mem "--prof" named in
   if prof then Prof.start ();
   let sections = ref [] in
   let add name payload = sections := (name, payload) :: !sections in
@@ -1295,11 +1298,11 @@ let () =
       add "prng" payload;
       ok := agree
   | "compare" ->
-      let update = Array.exists (String.equal "--update") Sys.argv in
+      let update = List.mem "--update" named in
       let payload, pass = run_compare ~update () in
       add "compare" payload;
       ok := pass
-  | _ ->
+  | _ (* "all" *) ->
       add "tables" (run_tables ());
       add "micro" (run_micro ());
       add "par" (run_par ());

@@ -87,66 +87,6 @@ module Rand_counter = struct
       draw ()
     end
 
-  (* 64 tape bits assembled LSB-first into one word — the Tape twin of a
-     [Prng.bits64] draw, matching [bits]' LSB-first convention. *)
-  let tape_word tape pos =
-    let w = ref 0L in
-    for i = 0 to 63 do
-      if tape_bit tape pos then w := Int64.logor !w (Int64.shift_left 1L i)
-    done;
-    !w
-
-  let bits64 r =
-    check_domain r;
-    r.used <- r.used + 64;
-    trace_draw r "bits64" 64;
-    match r.source with
-    | Stream g -> Prng.bits64 g
-    | Tape (tape, pos) -> tape_word tape pos
-    | Deterministic ->
-        failwith "Rand_counter: deterministic processor drew randomness"
-
-  (* Block fills: exactly [len] 64-bit draws, charged len x 64 bits — the
-     same charge as [len] scalar [bits64] calls (test_bcast pins the
-     equality).  Stream sources delegate to [Prng.Block], so the words
-     (and the generator's end state) are identical to scalar draws
-     too. *)
-
-  let fill_bits64 r buf ~pos ~len =
-    check_domain r;
-    if len < 0 then invalid_arg "Rand_counter.fill_bits64: len >= 0";
-    r.used <- r.used + (len * 64);
-    trace_draw r "fill_bits64" (len * 64);
-    match r.source with
-    | Stream g -> Prng.Block.fill_bits64 g buf ~pos ~len
-    | Tape (tape, tpos) ->
-        if pos < 0 || pos > Bigarray.Array1.dim buf - len then
-          invalid_arg "Rand_counter.fill_bits64";
-        for i = pos to pos + len - 1 do
-          Bigarray.Array1.set buf i (tape_word tape tpos)
-        done
-    | Deterministic ->
-        failwith "Rand_counter: deterministic processor drew randomness"
-
-  let fill_float r buf ~pos ~len =
-    check_domain r;
-    if len < 0 then invalid_arg "Rand_counter.fill_float: len >= 0";
-    r.used <- r.used + (len * 64);
-    trace_draw r "fill_float" (len * 64);
-    match r.source with
-    | Stream g -> Prng.Block.fill_float g buf ~pos ~len
-    | Tape (tape, tpos) ->
-        if pos < 0 || pos > Bigarray.Array1.dim buf - len then
-          invalid_arg "Rand_counter.fill_float";
-        for i = pos to pos + len - 1 do
-          (* [Prng.float]'s decode: the top 53 bits of the word. *)
-          let w = tape_word tape tpos in
-          let v = Int64.to_int (Int64.shift_right_logical w 11) in
-          Bigarray.Array1.set buf i (float_of_int v /. 9007199254740992.0)
-        done
-    | Deterministic ->
-        failwith "Rand_counter: deterministic processor drew randomness"
-
   let bernoulli_bits = 30
 
   let bernoulli r p =

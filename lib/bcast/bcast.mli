@@ -48,19 +48,6 @@ module Rand_counter : sig
   (** Uniform in [0, bound); accounting charges [ceil(log2 bound)] bits per
       rejection-sampling attempt. *)
 
-  val bits64 : t -> int64
-  (** One whole 64-bit word, charged 64 bits.  Tape sources assemble the
-      word from 64 tape bits LSB-first (matching {!bits}). *)
-
-  val fill_bits64 : t -> Prng.i64buf -> pos:int -> len:int -> unit
-  (** [len] words via {!Prng.Block.fill_bits64}, charged exactly
-      [len * 64] bits — the same charge, words and end state as [len]
-      scalar {!bits64} calls (test_bcast pins the equality). *)
-
-  val fill_float : t -> Prng.f64buf -> pos:int -> len:int -> unit
-  (** As {!fill_bits64} for uniform floats; charged [len * 64] bits, the
-      charge of the underlying word draws. *)
-
   val bernoulli_bits : int
   (** 30 — the exact per-call charge of {!bernoulli}. *)
 

@@ -1393,7 +1393,7 @@ let e30_sparse_planted ?(seed = 42) () =
         (fun (d : DS.t) ->
           let a =
             DS.advantage d
-              ~sample_rand:(fun gt -> Sparse.sample_rand gt ~n:adv_n ~p:adv_p)
+              ~sample_rand:(fun gt -> Sparse.sample_gnp gt ~n:adv_n ~p:adv_p)
               ~sample_planted:(fun gt ->
                 fst (Sparse.sample_planted gt ~n:adv_n ~p:adv_p ~k:adv_k))
               ~calibration ~trials
@@ -1512,12 +1512,12 @@ let e31_million_vertex ?(seed = 42) () =
       "exact"; (if recovered = planted_sorted then "yes" else "NO") ]
     :: !rows;
   (* In-artifact sampler oracles at a small n: the batched-block decode
-     must equal the frozen scalar reference graph-for-graph (identical
-     stream), and the sharded sampler's edge count must sit inside the
-     binomial tail (its stream is its own). *)
+     must equal the scalar decode of the dense sampler [Gnp.sample_fast]
+     graph-for-graph (identical stream), and the sharded sampler's edge
+     count must sit inside the binomial tail (its stream is its own). *)
   let on = 2048 and op = 0.02 in
   let blk = Sparse.sample_gnp (Prng.split g 7) ~n:on ~p:op in
-  let sca = Sparse.sample_gnp_scalar (Prng.split g 7) ~n:on ~p:op in
+  let sca = Sparse.of_digraph (Gnp.sample_fast (Prng.split g 7) ~n:on ~p:op) in
   let agree =
     Sparse.edge_count blk = Sparse.edge_count sca
     &&

@@ -45,217 +45,163 @@ let degree_sums t =
   done;
   sums
 
-(* Build a CSR from the sampler's forward-pair stream: [fwd_count.(i)]
-   pairs (i, j) per row with the j's concatenated row-major in [js]
-   (ascending within a row, rows in order — the order the geometric-skip
-   sampler emits).  Counting sort over both endpoints; the arrival order
-   makes every output row come out ascending (row i first receives its
-   smaller neighbours from pairs (u, i) with u increasing, then its
-   larger ones from pairs (i, v) with v increasing), so no per-row sort
-   is ever needed.  The stream lives on a [Buf.ints] and the only plain
-   arrays are O(n).
+(* Build a CSR from forward pairs (i, j), i < j, given as stream
+   segments [(row0, counts, js, m)]: [counts.(r)] pairs for row
+   [row0 + r], their j's concatenated row-major (ascending within a row)
+   in the first [m] slots of [js].  Taken in order, the segments must be
+   the global row-major stream — [sample_gnp] passes one segment,
+   [sample_gnp_sharded] one per shard, and a row may straddle two.  That
+   arrival order makes every output row come out ascending with no
+   per-row sort: row i first receives its smaller neighbours from pairs
+   (u, i) with u increasing, then its larger ones from pairs (i, v) with
+   v increasing.  The segments are read in place, so no merged copy of
+   the stream ever exists, and every pass is a plain loop over rows.
 
-   This direct variant scatters every backward entry (j, i) straight to
-   its final slot — one random write into [cols] per pair.  Fine while
-   [cols] fits in cache; at the 10^6-vertex rung [cols] is ~8 GB and
-   every scatter is a TLB-and-DRAM round trip, which is what
-   [csr_of_stream_bucketed] below fixes.  Kept as the reference
-   implementation (and the builder for the frozen [sample_gnp_scalar]
-   baseline): both builders emit byte-identical CSRs. *)
-let csr_of_stream_direct ~n ~m fwd_count js =
-  if m < 0 || m > Buf.int_length js then
-    invalid_arg "Sparse: pair stream shorter than m";
-  if Array.length fwd_count <> n then
-    invalid_arg "Sparse: per-row count length mismatch";
-  let deg = Array.make (max 1 n) 0 in
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    deg.(i) <- deg.(i) + fwd_count.(i);
-    for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      deg.(j) <- deg.(j) + 1;
-      incr e
-    done
-  done;
-  if !e <> m then invalid_arg "Sparse: per-row counts do not sum to m";
-  let row_ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
-  done;
-  (* Uninitialized is safe: the cursor prefix sums partition the buffer
-     and the loop writes exactly [deg.(i)] entries into row i. *)
-  let cols = Buf.int_create_uninit (2 * m) in
-  let cursor = Array.init n (fun i -> row_ptr.(i)) in
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      Buf.int_set cols cursor.(i) j;
-      cursor.(i) <- cursor.(i) + 1;
-      Buf.int_set cols cursor.(j) i;
-      cursor.(j) <- cursor.(j) + 1;
-      incr e
-    done
-  done;
-  Spgraph.make ~n ~row_ptr ~cols
-
-(* Cache-aware counting sort for the same stream: partition the backward
-   entries (j, i) into row-range buckets first (wide sequential writes),
-   then scatter each bucket into [cols] while its target region and
-   cursor slice are cache-resident.  Each pair is packed into one native
-   int ([j lsl 31 lor i], which is why the caller guarantees
-   n < 2^31), so the partition costs one extra O(m) buffer and every
-   pass is either sequential or confined to ~2^18-entry windows.  At
-   n = 10^6 / m = 5 x 10^8 this takes the build from ~43 ns/pair
-   (DRAM-latency bound) to memory-bandwidth bound.  Output is
-   byte-identical to [csr_of_stream_direct]: bucketing by row range
-   preserves the stream order within each bucket, so every row still
-   receives its entries in ascending order. *)
-let csr_of_stream_bucketed ~n ~m fwd_count js =
-  if m < 0 || m > Buf.int_length js then
-    invalid_arg "Sparse: pair stream shorter than m";
-  if Array.length fwd_count <> n then
-    invalid_arg "Sparse: per-row count length mismatch";
-  (* Bucket width: the smallest power-of-two row range that keeps the
-     bucket count within [target] — a function of n and m only. *)
-  let target = max 1 (min 1024 (m / (1 lsl 18))) in
-  let shift = ref 0 in
-  while ((n - 1) lsr !shift) + 1 > target do incr shift done;
-  let shift = !shift in
-  let nb = ((n - 1) lsr shift) + 1 in
-  let bcount = Array.make nb 0 in
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      bcount.(j lsr shift) <- bcount.(j lsr shift) + 1;
-      incr e
-    done
-  done;
-  if !e <> m then invalid_arg "Sparse: per-row counts do not sum to m";
-  let bptr = Array.make (nb + 1) 0 in
-  for b = 0 to nb - 1 do
-    bptr.(b + 1) <- bptr.(b) + bcount.(b)
-  done;
-  (* Partition pass: pack (j, i) and append to j's bucket, accumulating
-     backward degrees on the way (one pass over the stream instead of a
-     later re-read of [packed]).  Stream order is preserved inside each
-     bucket. *)
-  let packed = Buf.int_create_uninit (max 1 m) in
-  let bcur = Array.init nb (fun b -> bptr.(b)) in
-  let deg = Array.make (max 1 n) 0 in
-  Array.blit fwd_count 0 deg 0 n;
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    for _ = 1 to fwd_count.(i) do
-      let j = Buf.int_get js !e in
-      let b = j lsr shift in
-      Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
-      bcur.(b) <- bcur.(b) + 1;
-      deg.(j) <- deg.(j) + 1;
-      incr e
-    done
-  done;
-  let row_ptr = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
-  done;
-  (* Uninitialized is safe: forward entries fill the tail
-     [fwd_count.(i)] slots of each row, backward entries fill the head
-     [deg.(i) - fwd_count.(i)] slots through the cursors, and the two
-     fills write exactly [deg.(i)] entries per row. *)
-  let cols = Buf.int_create_uninit (2 * m) in
-  (* Forward fill: row i's larger neighbours, straight from the stream —
-     sequential read, near-sequential write. *)
-  let e = ref 0 in
-  for i = 0 to n - 1 do
-    let base = row_ptr.(i + 1) - fwd_count.(i) in
-    for d = 0 to fwd_count.(i) - 1 do
-      Buf.int_set cols (base + d) (Buf.int_get js (!e + d))
-    done;
-    e := !e + fwd_count.(i)
-  done;
-  (* Backward fill, bucket by bucket: target rows and cursors stay
-     cache-resident for the whole bucket. *)
-  let cursor = Array.init (max 1 n) (fun i -> row_ptr.(i)) in
-  let mask31 = (1 lsl 31) - 1 in
-  for e = 0 to m - 1 do
-    let w = Buf.int_get packed e in
-    let j = w lsr 31 in
-    Buf.int_set cols cursor.(j) (w land mask31);
-    cursor.(j) <- cursor.(j) + 1
-  done;
-  Spgraph.make ~n ~row_ptr ~cols
-
-(* Under ~2^20 pairs both the scatter target and the cursors fit in
-   cache and the direct scatter is already bandwidth-bound; above it the
-   bucketed two-phase sort wins.  n < 2^31 is the packing limit. *)
-let csr_of_stream ~n ~m fwd_count js =
-  if m < 1 lsl 20 || n >= 1 lsl 31 then csr_of_stream_direct ~n ~m fwd_count js
-  else csr_of_stream_bucketed ~n ~m fwd_count js
-
-(* PR 9's sampler, frozen: the scalar draw-per-skip decode over the
-   direct scatter build.  [sample_gnp] below emits the identical graph
-   from the identical draws (test_sparse pins them equal); this version
-   stays as the reference implementation, the in-run equality oracle and
-   the `bench prng` baseline row. *)
-let sample_gnp_scalar g ~n ~p =
-  if n < 0 then invalid_arg "Sparse.sample_gnp: n >= 0";
-  if p < 0.0 || p > 1.0 then invalid_arg "Sparse.sample_gnp: p in [0,1]";
-  let total = n * (n - 1) / 2 in
-  let mean = p *. float_of_int total in
-  let cap =
-    ref
-      (min (max 1 total)
-         (64 + int_of_float (mean +. (6.0 *. Float.sqrt (mean +. 1.0)))))
-  in
-  let js = ref (Buf.int_create_uninit !cap) in
-  let fwd_count = Array.make (max 1 n) 0 in
+   Two strategies, byte-identical output, switched on the pair count:
+   - below 2^20 pairs, a direct counting sort scatters each backward
+     entry (j, i) straight to its final slot — one random write per
+     pair, cheap while [cols] and the cursors fit in cache;
+   - above, a cache-aware two-phase sort first partitions the backward
+     entries into row-range buckets, each packed into one native int
+     [j lsl 31 lor i] (sequential writes; the packing is why n >= 2^31
+     stays on the direct scatter), then scatters each bucket while its
+     target rows and cursors are cache-resident.  At n = 10^6 /
+     m = 5 x 10^8 this takes the build from DRAM-latency bound
+     (~43 ns/pair) to memory-bandwidth bound.  Bucketing by row range
+     preserves stream order inside each bucket, so rows still receive
+     their entries in ascending order. *)
+let csr_of_segments ~n segs =
+  let fwd_count = Array.make n 0 in
   let m = ref 0 in
-  let push i j =
-    if !m = !cap then begin
-      let cap' = min (max 1 total) (2 * !cap) in
-      let js' = Buf.int_create_uninit cap' in
-      Bigarray.Array1.blit !js (Bigarray.Array1.sub js' 0 !m);
-      js := js';
-      cap := cap'
-    end;
-    Buf.int_set !js !m j;
-    fwd_count.(i) <- fwd_count.(i) + 1;
-    incr m
-  in
-  if p >= 1.0 then
+  for s = 0 to Array.length segs - 1 do
+    let row0, counts, js, ms = segs.(s) in
+    if ms < 0 || ms > Buf.int_length js then
+      invalid_arg "Sparse: pair stream shorter than m";
+    if row0 < 0 || row0 + Array.length counts > n then
+      invalid_arg "Sparse: segment rows out of range";
+    let sum = ref 0 in
+    for r = 0 to Array.length counts - 1 do
+      if counts.(r) < 0 then invalid_arg "Sparse: negative per-row count";
+      fwd_count.(row0 + r) <- fwd_count.(row0 + r) + counts.(r);
+      sum := !sum + counts.(r)
+    done;
+    if !sum <> ms then invalid_arg "Sparse: per-row counts do not sum to m";
+    m := !m + ms
+  done;
+  let m = !m in
+  let offsets deg =
+    let row_ptr = Array.make (n + 1) 0 in
     for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        push i j
+      row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
+    done;
+    row_ptr
+  in
+  (* Per-row degrees: the forward counts plus one per backward entry. *)
+  let deg = Array.copy fwd_count in
+  if m < 1 lsl 20 || n >= 1 lsl 31 then begin
+    for s = 0 to Array.length segs - 1 do
+      let _, _, js, ms = segs.(s) in
+      for e = 0 to ms - 1 do
+        let j = Buf.int_get js e in
+        deg.(j) <- deg.(j) + 1
       done
-    done
-  else if p > 0.0 && total > 0 then begin
-    let log1mp = Float.log (1.0 -. p) in
-    let row = ref 0 in
-    let row_start = ref 0 in
-    let idx = ref (-1) in
-    let continue = ref true in
-    while !continue do
-      let u = Prng.float g in
-      let skip = Float.log (1.0 -. u) /. log1mp in
-      (* [skip] is finite and >= 0; cap before truncating so the addition
-         below cannot overflow when p is tiny and u is close to 1. *)
-      let skip = int_of_float (Float.min skip (float_of_int total)) in
-      idx := !idx + 1 + skip;
-      if !idx >= total then continue := false
-      else begin
-        while !idx >= !row_start + (n - 1 - !row) do
-          row_start := !row_start + (n - 1 - !row);
-          incr row
+    done;
+    let row_ptr = offsets deg in
+    (* Uninitialized is safe: the cursor prefix sums partition the buffer
+       and the scatter writes exactly [deg.(i)] entries into row i. *)
+    let cols = Buf.int_create_uninit (2 * m) in
+    let cursor = Array.sub row_ptr 0 n in
+    for s = 0 to Array.length segs - 1 do
+      let row0, counts, js, _ = segs.(s) in
+      let e = ref 0 in
+      for r = 0 to Array.length counts - 1 do
+        let i = row0 + r in
+        for d = !e to !e + counts.(r) - 1 do
+          let j = Buf.int_get js d in
+          Buf.int_set cols cursor.(i) j;
+          cursor.(i) <- cursor.(i) + 1;
+          Buf.int_set cols cursor.(j) i;
+          cursor.(j) <- cursor.(j) + 1
         done;
-        let i = !row in
-        let j = i + 1 + (!idx - !row_start) in
-        push i j
-      end
-    done
-  end;
-  csr_of_stream_direct ~n ~m:!m fwd_count !js
+        e := !e + counts.(r)
+      done
+    done;
+    Spgraph.make ~n ~row_ptr ~cols
+  end
+  else begin
+    (* Bucket width: the smallest power-of-two row range that keeps the
+       bucket count within [target] — a function of n and m only. *)
+    let target = max 1 (min 1024 (m / (1 lsl 18))) in
+    let shift = ref 0 in
+    while ((n - 1) lsr !shift) + 1 > target do incr shift done;
+    let shift = !shift in
+    let nb = ((n - 1) lsr shift) + 1 in
+    let bcount = Array.make nb 0 in
+    for s = 0 to Array.length segs - 1 do
+      let _, _, js, ms = segs.(s) in
+      for e = 0 to ms - 1 do
+        let b = Buf.int_get js e lsr shift in
+        bcount.(b) <- bcount.(b) + 1
+      done
+    done;
+    let bptr = Array.make (nb + 1) 0 in
+    for b = 0 to nb - 1 do
+      bptr.(b + 1) <- bptr.(b) + bcount.(b)
+    done;
+    (* Partition pass: pack (j, i) and append to j's bucket, accumulating
+       backward degrees on the way (one pass over the stream instead of a
+       later re-read of [packed]). *)
+    let packed = Buf.int_create_uninit m in
+    let bcur = Array.sub bptr 0 nb in
+    for s = 0 to Array.length segs - 1 do
+      let row0, counts, js, _ = segs.(s) in
+      let e = ref 0 in
+      for r = 0 to Array.length counts - 1 do
+        let i = row0 + r in
+        for d = !e to !e + counts.(r) - 1 do
+          let j = Buf.int_get js d in
+          let b = j lsr shift in
+          Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
+          bcur.(b) <- bcur.(b) + 1;
+          deg.(j) <- deg.(j) + 1
+        done;
+        e := !e + counts.(r)
+      done
+    done;
+    let row_ptr = offsets deg in
+    (* Uninitialized is safe: forward entries fill the tail
+       [fwd_count.(i)] slots of each row, backward entries fill the head
+       [deg.(i) - fwd_count.(i)] slots, and the two fills write exactly
+       [deg.(i)] entries per row. *)
+    let cols = Buf.int_create_uninit (2 * m) in
+    (* Forward fill through per-row cursors, straight from the stream: a
+       row straddling two segments receives the earlier one's entries
+       first. *)
+    let fcur = Array.init n (fun i -> row_ptr.(i + 1) - fwd_count.(i)) in
+    for s = 0 to Array.length segs - 1 do
+      let row0, counts, js, _ = segs.(s) in
+      let e = ref 0 in
+      for r = 0 to Array.length counts - 1 do
+        let i = row0 + r in
+        for d = !e to !e + counts.(r) - 1 do
+          Buf.int_set cols fcur.(i) (Buf.int_get js d);
+          fcur.(i) <- fcur.(i) + 1
+        done;
+        e := !e + counts.(r)
+      done
+    done;
+    (* Backward fill, bucket by bucket: target rows and cursors stay
+       cache-resident for the whole bucket. *)
+    let cursor = Array.sub row_ptr 0 n in
+    let mask31 = (1 lsl 31) - 1 in
+    for e = 0 to m - 1 do
+      let w = Buf.int_get packed e in
+      let j = w lsr 31 in
+      Buf.int_set cols cursor.(j) (w land mask31);
+      cursor.(j) <- cursor.(j) + 1
+    done;
+    Spgraph.make ~n ~row_ptr ~cols
+  end
 
 (* CSR twin of [Gnp.sample_fast]: the identical geometric-skip decode —
    same [Prng.float] draws in the same order, same cap, same row-major
@@ -268,8 +214,8 @@ let sample_gnp_scalar g ~n ~p =
    [Block.restore]) and replayed for exactly the draws the scalar
    decode would have consumed, so the generator's end state matches the
    scalar path draw for draw.  test/test_sparse.ml pins
-   [sample_gnp] == [of_digraph (Gnp.sample_fast ...)] ==
-   [sample_gnp_scalar] on shared seeds.
+   [sample_gnp] == [of_digraph (Gnp.sample_fast ...)], graph and end
+   state, on shared seeds.
 
    [?stream_cap] overrides the initial pair-stream capacity (normally
    the binomial mean + 6 sigma) so tests can force the geometric-growth
@@ -288,7 +234,7 @@ let sample_gnp ?stream_cap g ~n ~p =
   in
   let js = ref (Buf.int_create_uninit cap0) in
   let cap = ref cap0 in
-  let fwd_count = Array.make (max 1 n) 0 in
+  let fwd_count = Array.make n 0 in
   let m = ref 0 in
   let grow () =
     (* Geometric growth, clamped to the pair count: [m] can never reach
@@ -350,9 +296,7 @@ let sample_gnp ?stream_cap g ~n ~p =
       done
     done
   end;
-  csr_of_stream ~n ~m:!m fwd_count !js
-
-let sample_rand g ~n ~p = sample_gnp g ~n ~p
+  csr_of_segments ~n [| (0, fwd_count, !js, !m) |]
 
 (* ---------- Word-level skip decode for the sharded sampler ---------- *)
 
@@ -458,8 +402,10 @@ let row_of_pair_index n idx =
   !r
 
 (* One shard's slice [lo, hi) of the pair-index walk, on a dedicated
-   child stream: returns (first row, per-row counts over the shard's row
-   span, pair stream, pair count). *)
+   child stream: returns the shard's [csr_of_segments] segment (first
+   row, per-row counts over the shard's row span, pair stream, pair
+   count). *)
+(* bcc-lint: allow kern/unsafe-index — every words read follows the refill check that keeps wcur < avail <= words_cap = Buf.i64_length words, and the js write follows grow (), which keeps m < cap = Buf.int_length !js *)
 let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
   let row0 = row_of_pair_index n lo in
   let s_of r = (r * (n - 1)) - (r * (r - 1) / 2) in
@@ -538,111 +484,6 @@ let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
   done;
   (row0, counts, !js, !m)
 
-(* CSR straight from the per-shard pair streams, taken in shard order —
-   the concatenation in shard order {e is} the global row-major stream,
-   so this is [csr_of_stream_bucketed] with the single stream buffer
-   replaced by a walk over the shard buffers: the merged copy of the
-   stream (4 GB at the 10^6 rung, and this machine pays dearly for every
-   freshly faulted page) never exists.  Small totals just merge and use
-   the direct build. *)
-let csr_of_shards ~n results =
-  let fwd_count = Array.make (max 1 n) 0 in
-  Array.iter
-    (fun (row0, counts, _, _) ->
-      Array.iteri
-        (fun r c -> fwd_count.(row0 + r) <- fwd_count.(row0 + r) + c)
-        counts)
-    results;
-  let m = Array.fold_left (fun acc (_, _, _, ms) -> acc + ms) 0 results in
-  if m < 1 lsl 20 || n >= 1 lsl 31 then begin
-    let js = Buf.int_create_uninit (max 1 m) in
-    let off = ref 0 in
-    Array.iter
-      (fun (_, _, js_s, ms) ->
-        if ms > 0 then
-          Bigarray.Array1.blit
-            (Bigarray.Array1.sub js_s 0 ms)
-            (Bigarray.Array1.sub js !off ms);
-        off := !off + ms)
-      results;
-    csr_of_stream_direct ~n ~m fwd_count js
-  end
-  else begin
-    let target = max 1 (min 1024 (m / (1 lsl 18))) in
-    let shift = ref 0 in
-    while ((n - 1) lsr !shift) + 1 > target do incr shift done;
-    let shift = !shift in
-    let nb = ((n - 1) lsr shift) + 1 in
-    let bcount = Array.make nb 0 in
-    Array.iter
-      (fun (_, _, js_s, ms) ->
-        for e = 0 to ms - 1 do
-          (* bcc-lint: allow kern/unsafe-index — e < ms, the shard's emitted count, which decode_shard bounds by Buf.int_length js_s *)
-          let j = Buf.int_get js_s e in
-          bcount.(j lsr shift) <- bcount.(j lsr shift) + 1
-        done)
-      results;
-    let bptr = Array.make (nb + 1) 0 in
-    for b = 0 to nb - 1 do
-      bptr.(b + 1) <- bptr.(b) + bcount.(b)
-    done;
-    let packed = Buf.int_create_uninit (max 1 m) in
-    let bcur = Array.init nb (fun b -> bptr.(b)) in
-    let deg = Array.make (max 1 n) 0 in
-    Array.blit fwd_count 0 deg 0 n;
-    Array.iter
-      (fun (row0, counts, js_s, _) ->
-        let e = ref 0 in
-        Array.iteri
-          (fun r c ->
-            let i = row0 + r in
-            for _ = 1 to c do
-              let j = Buf.int_get js_s !e in
-              let b = j lsr shift in
-              Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
-              bcur.(b) <- bcur.(b) + 1;
-              deg.(j) <- deg.(j) + 1;
-              incr e
-            done)
-          counts)
-      results;
-    let row_ptr = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
-    done;
-    (* Uninitialized is safe: the forward cursors fill the tail
-       [fwd_count.(i)] slots of row i, the backward cursors fill the
-       head, and together they write exactly [deg.(i)] entries per
-       row. *)
-    let cols = Buf.int_create_uninit (2 * m) in
-    (* Forward fill through per-row cursors: a row whose forward walk
-       straddles a shard boundary receives the earlier shard's entries
-       first, preserving ascending order. *)
-    let fcur = Array.init n (fun i -> row_ptr.(i + 1) - fwd_count.(i)) in
-    Array.iter
-      (fun (row0, counts, js_s, _) ->
-        let e = ref 0 in
-        Array.iteri
-          (fun r c ->
-            let i = row0 + r in
-            for _ = 1 to c do
-              Buf.int_set cols fcur.(i) (Buf.int_get js_s !e);
-              fcur.(i) <- fcur.(i) + 1;
-              incr e
-            done)
-          counts)
-      results;
-    let cursor = Array.init n (fun i -> row_ptr.(i)) in
-    let mask31 = (1 lsl 31) - 1 in
-    for e = 0 to m - 1 do
-      let w = Buf.int_get packed e in
-      let j = w lsr 31 in
-      Buf.int_set cols cursor.(j) (w land mask31);
-      cursor.(j) <- cursor.(j) + 1
-    done;
-    Spgraph.make ~n ~row_ptr ~cols
-  end
-
 (* Fixed seed-space salt: the sharded sampler derives its shard streams
    from [split (split g shard_salt) s], leaving the parent stream
    position untouched and keeping the per-trial child indices
@@ -655,8 +496,8 @@ let shard_count total = if total < 65536 then 1 else 64
    equal slices — a function of n alone, never of the pool size — each
    decoded on its own [Prng.split] child stream by the word-level skip
    decode above, in parallel on the [Par] pool.  The per-shard pair
-   streams are concatenated in shard order (the global walk is ascending
-   across slice boundaries) and counting-sorted into CSR, so the result
+   streams, taken in shard order, are the global row-major walk, so they
+   go to [csr_of_segments] as they are — no merged copy — and the result
    is byte-identical at any [BCC_DOMAINS].  This is a new, documented
    stream: same-seed results differ from [sample_gnp] by construction
    (see docs/PERFORMANCE.md "Batched draws"). *)
@@ -666,10 +507,10 @@ let sample_gnp_sharded g ~n ~p =
   if p < 0.0 || p > 1.0 then
     invalid_arg "Sparse.sample_gnp_sharded: p in [0,1]";
   let total = n * (n - 1) / 2 in
-  let fwd_count = Array.make (max 1 n) 0 in
   if p >= 1.0 then begin
     (* Deterministic complete graph: no draws on any stream. *)
     let js = Buf.int_create_uninit (max 1 total) in
+    let fwd_count = Array.make n 0 in
     let m = ref 0 in
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
@@ -678,10 +519,9 @@ let sample_gnp_sharded g ~n ~p =
         incr m
       done
     done;
-    csr_of_stream ~n ~m:!m fwd_count js
+    csr_of_segments ~n [| (0, fwd_count, js, !m) |]
   end
-  else if p <= 0.0 || total = 0 then
-    csr_of_stream ~n ~m:0 fwd_count (Buf.int_create_uninit 1)
+  else if p <= 0.0 || total = 0 then csr_of_segments ~n [||]
   else begin
     let tbl = make_skip_table p in
     let shards = shard_count total in
@@ -698,7 +538,7 @@ let sample_gnp_sharded g ~n ~p =
           else decode_shard ~n ~mean_per_pair:p tbl child ~lo ~hi)
         (Array.init shards Fun.id)
     in
-    csr_of_shards ~n results
+    csr_of_segments ~n results
   end
 
 (* Union the rows of [t] with the clique on [cs]: one count pass, one

@@ -49,32 +49,30 @@ val degree_sums : t -> int array
     [in_degree] is an O(n) column scan per vertex). *)
 
 val sample_gnp : ?stream_cap:int -> Prng.t -> n:int -> p:float -> t
-(** G(n, p) straight into CSR: [Gnp.sample_fast]'s geometric-skip decode
-    — the skip lengths {e are} the column gaps — with the pairs appended
-    to an edge buffer and counting-sorted into rows.  Identical PRNG
-    stream, identical graph, O(n + m) memory.  The skips are decoded in
-    blocks by {!Prng.Block.fill_geometric}; the final block is rewound
-    and replayed so the generator ends exactly where the scalar decode
-    would ({!sample_gnp_scalar} is the pinned-equal reference).
+(** G(n, p) straight into CSR, and the sparse-regime null model:
+    [Gnp.sample_fast]'s geometric-skip decode — the skip lengths {e are}
+    the column gaps — with the pairs appended to an edge buffer and
+    counting-sorted into rows.  Identical PRNG stream, identical graph,
+    O(n + m) memory.  The skips are decoded in blocks by
+    {!Prng.Block.fill_geometric}; the final block is rewound and
+    replayed so the generator ends exactly where the scalar decode would
+    (test/test_sparse.ml pins graph and end state against
+    [of_digraph (Gnp.sample_fast ...)]).  The CSR build is a direct
+    counting-sort scatter below 2^20 pairs and a cache-aware bucketed
+    sort above (docs/PERFORMANCE.md "Batched draws"); both emit the same
+    bytes.
 
     [?stream_cap] overrides the initial pair-stream capacity (default:
     binomial mean + 6 sigma) to force the geometric-growth path in
     tests; the sampled graph is identical for any value. *)
-
-val sample_gnp_scalar : Prng.t -> n:int -> p:float -> t
-(** The pre-batching sampler, frozen: one scalar [Prng.float] per skip,
-    direct-scatter CSR build.  Same stream and same graph as
-    {!sample_gnp} (test/test_sparse.ml pins them equal on shared
-    seeds); kept as the in-run equality oracle and the [bench prng]
-    baseline. *)
 
 val sample_gnp_sharded : Prng.t -> n:int -> p:float -> t
 (** Parallel G(n, p) for the n = 10^6 rung: the pair-index walk is cut
     into a fixed number of equal slices (a function of n only, never of
     the pool size), each decoded on its own [Prng.split] child stream by
     a word-level integer-threshold skip decode (no [log] in the hot
-    loop), then merged deterministically in slice order.  Byte-identical
-    output at any [BCC_DOMAINS].
+    loop), then built into one CSR straight from the per-slice streams
+    in slice order.  Byte-identical output at any [BCC_DOMAINS].
 
     This is a {b new, documented stream}: thresholds
     [round ((1 - (1-p)^k) * 2^53)] invert the geometric CDF at the same
@@ -90,12 +88,6 @@ val sample_planted_sharded :
     {!sample_planted}), then {!sample_gnp_sharded} (parent untouched),
     then the clique overlay.  After the call the parent stream sits
     exactly one [subset] past where it started. *)
-
-val sample_rand : Prng.t -> n:int -> p:float -> t
-(** The sparse-regime null model — alias of {!sample_gnp}.  (The dense
-    [Planted.sample_rand] is the p = 1/2 special case, where a CSR would
-    be larger than the bit matrix; sparse experiments state their p
-    explicitly.) *)
 
 val sample_planted : Prng.t -> n:int -> p:float -> k:int -> (t * int list)
 (** Planted clique over the G(n, p) base: clique subset first

@@ -707,6 +707,34 @@ let sort_sites ss =
         if c <> 0 then c else Int.compare a.site_col b.site_col)
     ss
 
+(* The census key of an unsafe site: (file, enclosing binding,
+   primitive, ordinal), the ordinal counting that binding's sites of
+   that primitive in source order.  Unlike a line number it survives
+   edits elsewhere in the file, yet it still changes when a site is
+   added, removed, or moved to another binding. *)
+let census_sites ss =
+  let group_compare a b =
+    let c = String.compare a.site_file b.site_file in
+    if c <> 0 then c
+    else
+      let c = String.compare a.site_fn b.site_fn in
+      if c <> 0 then c else String.compare a.site_prim b.site_prim
+  in
+  (* Stable sort over source order: each group stays in source order. *)
+  let grouped = List.stable_sort group_compare (sort_sites ss) in
+  let _, numbered =
+    List.fold_left
+      (fun (prev, acc) s ->
+        let ord =
+          match prev with
+          | Some (p, k) when group_compare p s = 0 -> k + 1
+          | _ -> 0
+        in
+        (Some (s, ord), (s, ord) :: acc))
+      (None, []) grouped
+  in
+  List.rev numbered
+
 let sort_findings fs =
   List.sort
     (fun a b ->
@@ -837,12 +865,14 @@ let finding_to_json f =
       ("message", Artifact.String f.message);
     ]
 
+(* Suppressions and sites carry no line numbers in the JSON report, so
+   the committed inventory does not churn when code above them moves;
+   the console report still prints file:line:col for every finding. *)
 let suppression_to_json s =
   Artifact.Obj
     [
       ("rule", Artifact.String s.sup_rule);
       ("file", Artifact.String s.sup_file);
-      ("line", Artifact.Int s.sup_line);
       ("reason", Artifact.String s.sup_reason);
     ]
 
@@ -866,14 +896,13 @@ let evidence_to_json = function
         ]
   | No_evidence -> Artifact.Obj [ ("kind", Artifact.String "none") ]
 
-let site_to_json s =
+let site_to_json (s, ordinal) =
   Artifact.Obj
     [
       ("file", Artifact.String s.site_file);
-      ("line", Artifact.Int s.site_line);
-      ("col", Artifact.Int s.site_col);
-      ("primitive", Artifact.String s.site_prim);
       ("function", Artifact.String s.site_fn);
+      ("primitive", Artifact.String s.site_prim);
+      ("ordinal", Artifact.Int ordinal);
       ("evidence", evidence_to_json s.site_evidence);
     ]
 
@@ -896,7 +925,7 @@ let report_to_json ~paths r =
          ( "suppressions",
            Artifact.List (List.map suppression_to_json r.suppressions) );
          ( "unsafe_sites",
-           Artifact.List (List.map site_to_json (sort_sites r.sites)) );
+           Artifact.List (List.map site_to_json (census_sites r.sites)) );
        ])
 
 let pp_report fmt r =

@@ -134,6 +134,13 @@ val find_rule : string -> rule option
 val rule_applies : path:string -> string -> bool
 val sort_findings : finding list -> finding list
 val sort_sites : site list -> site list
+
+val census_sites : site list -> (site * int) list
+(** The [LINT.json] census order: sites sorted by (file, enclosing
+    binding, primitive, ordinal), each paired with its ordinal — its
+    index among that binding's sites of that primitive in source
+    order. *)
+
 val severity_to_string : severity -> string
 
 val merge : report -> report -> report

@@ -13,7 +13,6 @@
    seeding — so every artifact pinned on Prng draws survives. *)
 
 type i64buf = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type f64buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type intbuf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 (* [scratch] is a lazily grown per-generator staging buffer for the
@@ -31,8 +30,6 @@ external st_get : i64buf -> int -> int64 = "%caml_ba_unsafe_ref_1"
 external st_set : i64buf -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
 external i64_dim : i64buf -> int = "%caml_ba_dim_1"
 external i64_set : i64buf -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
-external f64_dim : f64buf -> int = "%caml_ba_dim_1"
-external f64_set : f64buf -> int -> float -> unit = "%caml_ba_unsafe_set_1"
 external int_dim : intbuf -> int = "%caml_ba_dim_1"
 external int_set : intbuf -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 external i64_checked_get : i64buf -> int -> int64 = "%caml_ba_ref_1"
@@ -134,11 +131,11 @@ module Block = struct
      and each draw costs a few nanoseconds instead of the scalar path's
      box-and-call overhead.  Every fill consumes the generator stream
      exactly as the equivalent sequence of scalar draws would:
-     [fill_bits64] word w is the w-th [bits64], [fill_float] matches
-     [float], [fill_geometric] matches the geometric-skip decode in
-     [Gnp.sample_fast] / [Sparse.sample_gnp] (same [Float.log] formula,
-     same cap-then-truncate) — test_prng pins all three against the
-     scalar draws at awkward lengths. *)
+     [fill_bits64] word w is the w-th [bits64], [fill_geometric] matches
+     the geometric-skip decode in [Gnp.sample_fast] /
+     [Sparse.sample_gnp] (same [Float.log] formula, same
+     cap-then-truncate) — test_prng pins both against the scalar draws
+     at awkward lengths. *)
 
   let check_fill name dim pos len =
     if pos < 0 || len < 0 || pos > dim - len then invalid_arg name
@@ -166,32 +163,6 @@ module Block = struct
       st_set st 2 s2;
       st_set st 3 s3;
       i64_set buf i result
-    done
-
-  (* bcc-lint: noalloc *)
-  let fill_float g (buf : f64buf) ~pos ~len =
-    check_fill "Prng.Block.fill_float" (f64_dim buf) pos len;
-    let st = g.st in
-    check_st st;
-    for i = pos to pos + len - 1 do
-      let s0 = st_get st 0 in
-      let s1 = st_get st 1 in
-      let s2 = st_get st 2 in
-      let s3 = st_get st 3 in
-      let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
-      let t = Int64.shift_left s1 17 in
-      let s2 = Int64.logxor s2 s0 in
-      let s3 = Int64.logxor s3 s1 in
-      let s1 = Int64.logxor s1 s2 in
-      let s0 = Int64.logxor s0 s3 in
-      let s2 = Int64.logxor s2 t in
-      let s3 = rotl s3 45 in
-      st_set st 0 s0;
-      st_set st 1 s1;
-      st_set st 2 s2;
-      st_set st 3 s3;
-      let v = Int64.to_int (Int64.shift_right_logical result 11) in
-      f64_set buf i (float_of_int v /. 9007199254740992.0)
     done
 
   (* bcc-lint: noalloc *)

@@ -20,7 +20,6 @@ type t
     [Prng.i64buf] and vice versa with no conversion. *)
 
 type i64buf = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-type f64buf = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 type intbuf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 val create : int -> t
@@ -58,9 +57,6 @@ module Block : sig
   (** [fill_bits64 g buf ~pos ~len] writes [len] words at [buf.{pos ..
       pos+len-1}]; word [w] is exactly the [w]-th [bits64 g] draw.
       Requires [0 <= pos], [0 <= len], [pos + len <= dim buf]. *)
-
-  val fill_float : t -> f64buf -> pos:int -> len:int -> unit
-  (** As [fill_bits64], matching scalar [float] draws. *)
 
   val fill_geometric :
     t -> log1mp:float -> cap:float -> intbuf -> pos:int -> len:int -> unit

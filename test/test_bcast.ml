@@ -136,71 +136,6 @@ let test_bernoulli_charge () =
   check_bool "zero tape" true (Bcast.Rand_counter.bernoulli r 0.0001);
   check_int "tape charged" 30 (Bcast.Rand_counter.bits_used r)
 
-(* Batched fills: a fill of [len] is charged exactly len x 64 bits — the
-   charge of the [len] scalar bits64 draws it replaces — and on a Stream
-   source produces the identical words and end state. *)
-let test_fill_charges_match_scalar () =
-  let len = 37 in
-  let rs = Bcast.Rand_counter.make (Prng.create 51) in
-  let rb = Bcast.Rand_counter.make (Prng.create 51) in
-  let scalar = Array.init len (fun _ -> Bcast.Rand_counter.bits64 rs) in
-  let buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout len in
-  Bcast.Rand_counter.fill_bits64 rb buf ~pos:0 ~len;
-  check_int "block charge = scalar charge"
-    (Bcast.Rand_counter.bits_used rs)
-    (Bcast.Rand_counter.bits_used rb);
-  check_int "charge is len x 64" (len * 64) (Bcast.Rand_counter.bits_used rb);
-  let same = ref true in
-  for i = 0 to len - 1 do
-    if not (Int64.equal buf.{i} scalar.(i)) then same := false
-  done;
-  check_bool "same words" true !same;
-  check_bool "same end state" true
-    (Int64.equal (Bcast.Rand_counter.bits64 rs) (Bcast.Rand_counter.bits64 rb));
-  let fbuf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 5 in
-  Bcast.Rand_counter.fill_float rb fbuf ~pos:0 ~len:5;
-  check_int "fill_float charge" ((len + 1 + 5) * 64)
-    (Bcast.Rand_counter.bits_used rb);
-  Bcast.Rand_counter.fill_bits64 rb buf ~pos:0 ~len:0;
-  check_int "len=0 free" ((len + 1 + 5) * 64) (Bcast.Rand_counter.bits_used rb);
-  Alcotest.check_raises "negative len"
-    (Invalid_argument "Rand_counter.fill_bits64: len >= 0") (fun () ->
-      Bcast.Rand_counter.fill_bits64 rb buf ~pos:0 ~len:(-1))
-
-let test_fill_tape_word_assembly () =
-  (* A tape word is 64 tape bits LSB-first, matching [bits]: a tape whose
-     first set bit is at index 1 yields the word 2. *)
-  let tape = Bitvec.create 128 in
-  Bitvec.set tape 1 true;
-  Bitvec.set tape 65 true;
-  let r = Bcast.Rand_counter.of_tape tape in
-  check_bool "word 0" true (Int64.equal 2L (Bcast.Rand_counter.bits64 r));
-  let buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
-  Bcast.Rand_counter.fill_bits64 r buf ~pos:0 ~len:1;
-  check_bool "word 1 via fill" true (Int64.equal 2L buf.{0});
-  check_int "tape charged" 128 (Bcast.Rand_counter.bits_used r);
-  Alcotest.check_raises "exhausted" (Failure "Rand_counter: tape exhausted")
-    (fun () -> Bcast.Rand_counter.fill_bits64 r buf ~pos:0 ~len:1);
-  (* fill_float decodes the top 53 bits, Prng.float's decode: an all-one
-     word is (2^53 - 1) / 2^53. *)
-  let ones = Bitvec.create 64 in
-  for i = 0 to 63 do
-    Bitvec.set ones i true
-  done;
-  let rf = Bcast.Rand_counter.of_tape ones in
-  let fbuf = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 1 in
-  Bcast.Rand_counter.fill_float rf fbuf ~pos:0 ~len:1;
-  check_bool "float decode" true
-    (Float.equal fbuf.{0}
-       (float_of_int ((1 lsl 53) - 1) /. 9007199254740992.0))
-
-let test_fill_deterministic_raises () =
-  let r = Bcast.Rand_counter.deterministic () in
-  let buf = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout 1 in
-  Alcotest.check_raises "fill on deterministic"
-    (Failure "Rand_counter: deterministic processor drew randomness") (fun () ->
-      Bcast.Rand_counter.fill_bits64 r buf ~pos:0 ~len:1)
-
 (* --- Bcast runner --- *)
 
 (* Everyone broadcasts its input bit for round r; output = count of 1s seen. *)
@@ -473,12 +408,6 @@ let () =
           Alcotest.test_case "int_below charge per attempt" `Quick
             test_int_below_charge_per_attempt;
           Alcotest.test_case "bernoulli exact charge" `Quick test_bernoulli_charge;
-          Alcotest.test_case "fill charges = scalar charges" `Quick
-            test_fill_charges_match_scalar;
-          Alcotest.test_case "fill tape word assembly" `Quick
-            test_fill_tape_word_assembly;
-          Alcotest.test_case "fill deterministic raises" `Quick
-            test_fill_deterministic_raises;
         ] );
       ( "runner",
         [

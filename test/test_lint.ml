@@ -257,6 +257,51 @@ let test_typed_unsafe_index () =
     (List.mem "kern/unsafe-index" (suppressed_ids r));
   check_bool "site keeps pragma evidence" true (evidence_kinds r = [ "pragma" ])
 
+let census_keys (r : Lint.report) =
+  List.map
+    (fun ((s : Lint.site), ord) ->
+      Printf.sprintf "%s %s %d" s.Lint.site_fn s.Lint.site_prim ord)
+    (Lint.census_sites r.Lint.sites)
+
+let test_census_keys () =
+  (* LINT.json keys each unsafe site by (file, binding, primitive,
+     ordinal): shifting every line leaves the census as it was, while
+     moving a site to another binding changes it. *)
+  let src ~pad ~moved =
+    pad
+    ^ "let f (a : int array) =\n\
+      \  for i = 0 to Array.length a - 1 do\n\
+      \    Array.unsafe_set a i (Array.unsafe_get a i"
+    ^ (if moved then "" else " + Array.unsafe_get a 0")
+    ^ ")\n\
+      \  done\n\
+       let g (a : int array) =\n\
+      \  for i = 0 to Array.length a - 1 do\n\
+      \    ignore (Array.unsafe_get a i"
+    ^ (if moved then " + Array.unsafe_get a 0" else "")
+    ^ ")\n\
+      \  done\n"
+  in
+  let base = tlint (src ~pad:"" ~moved:false) in
+  Alcotest.(check (list string))
+    "keys in census order"
+    [ "f %array_unsafe_get 0"; "f %array_unsafe_get 1";
+      "f %array_unsafe_set 0"; "g %array_unsafe_get 0" ]
+    (census_keys base);
+  let shifted = tlint (src ~pad:"let pad = 1\n\n\n" ~moved:false) in
+  let sites r =
+    Artifact.to_string
+      (Option.get
+         (Artifact.member "unsafe_sites"
+            (Option.get
+               (Artifact.member "payload"
+                  (Lint.report_to_json ~paths:[ "lib" ] r)))))
+  in
+  check_string "JSON census unchanged by a line shift" (sites base)
+    (sites shifted);
+  check_bool "moving a site to another binding changes the census" true
+    (census_keys (tlint (src ~pad:"" ~moved:true)) <> census_keys base)
+
 let test_typed_noalloc () =
   (* Positive: a marked function that builds a tuple. *)
   let r = tlint "(* bcc-lint: noalloc *)\nlet pair x = (x, x)\n" in
@@ -532,6 +577,7 @@ let () =
       ( "typed",
         [
           Alcotest.test_case "kern/unsafe-index" `Quick test_typed_unsafe_index;
+          Alcotest.test_case "census keys" `Quick test_census_keys;
           Alcotest.test_case "perf/noalloc" `Quick test_typed_noalloc;
           Alcotest.test_case "par/dls-escape" `Quick test_typed_dls_escape;
           Alcotest.test_case "par/dls-zero" `Quick test_typed_dls_zero;

@@ -188,25 +188,6 @@ let test_fill_bits64_matches_scalar () =
         [ 0; 3 ])
     fill_lengths
 
-let test_fill_float_matches_scalar () =
-  List.iter
-    (fun len ->
-      let buf =
-        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len
-      in
-      let gb = Prng.create 92 and gs = Prng.create 92 in
-      Prng.Block.fill_float gb buf ~pos:0 ~len;
-      let ok = ref true in
-      for i = 0 to len - 1 do
-        if not (Float.equal buf.{i} (Prng.float gs)) then ok := false
-      done;
-      check_bool (Printf.sprintf "floats len=%d" len) true !ok;
-      check_bool
-        (Printf.sprintf "end state len=%d" len)
-        true
-        (Int64.equal (Prng.bits64 gb) (Prng.bits64 gs)))
-    fill_lengths
-
 let test_fill_geometric_matches_scalar_decode () =
   let p = 0.003 in
   let log1mp = Float.log (1.0 -. p) in
@@ -262,19 +243,16 @@ let test_fill_no_alloc () =
      small constant slack over the 10 calls of each fill. *)
   let len = 4096 in
   let i64 = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout len in
-  let f64 = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout len in
   let ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
   let g = Prng.create 95 in
   let log1mp = Float.log (1.0 -. 0.01) in
   let cap = float_of_int (1 lsl 20) in
   (* Warm up (first calls may fault pages / allocate the scratch). *)
   Prng.Block.fill_bits64 g i64 ~pos:0 ~len;
-  Prng.Block.fill_float g f64 ~pos:0 ~len;
   Prng.Block.fill_geometric g ~log1mp ~cap ints ~pos:0 ~len;
   let before = Gc.minor_words () in
   for _ = 1 to 10 do
     Prng.Block.fill_bits64 g i64 ~pos:0 ~len;
-    Prng.Block.fill_float g f64 ~pos:0 ~len;
     Prng.Block.fill_geometric g ~log1mp ~cap ints ~pos:0 ~len
   done;
   let delta = Gc.minor_words () -. before in
@@ -338,8 +316,6 @@ let () =
         [
           Alcotest.test_case "fill_bits64 = scalar" `Quick
             test_fill_bits64_matches_scalar;
-          Alcotest.test_case "fill_float = scalar" `Quick
-            test_fill_float_matches_scalar;
           Alcotest.test_case "fill_geometric = scalar decode" `Quick
             test_fill_geometric_matches_scalar_decode;
           Alcotest.test_case "fill invalid args" `Quick test_fill_invalid;

@@ -57,6 +57,15 @@ let test_empty_and_full () =
   let empty = Sparse.of_digraph (Digraph.create 7) in
   check_int "empty edges" 0 (Sparse.edge_count empty);
   check_bool "no edge" false (Sparse.has_edge empty 0 1);
+  (* Zero and one vertex: nothing to sample, on either sampler. *)
+  List.iter
+    (fun n ->
+      check_int (Printf.sprintf "n=%d sample_gnp edges" n) 0
+        (Sparse.edge_count (Sparse.sample_gnp (Prng.create 5) ~n ~p:0.5));
+      check_int (Printf.sprintf "n=%d sample_gnp_sharded edges" n) 0
+        (Sparse.edge_count
+           (Sparse.sample_gnp_sharded (Prng.create 5) ~n ~p:0.5)))
+    [ 0; 1 ];
   let g = Prng.create 5 in
   let full = Sparse.sample_gnp g ~n:9 ~p:1.0 in
   check_int "complete graph edges" (9 * 8) (Sparse.edge_count full);
@@ -178,11 +187,12 @@ let test_sample_planted_matches_dense_order () =
 
 (* ------------------------------------------------- batched sampler *)
 
-(* The block-decode sampler must be bit-identical to the frozen scalar
-   reference: same graph AND same generator end state, for every seed.
-   [~stream_cap:1] forces the edge-stream buffer through its growth path
-   (capacity 1 doubles ~17 times at n = 256) — the regression pin for the
-   capacity-handling bug class. *)
+(* The block-decode sampler must be bit-identical to the scalar decode
+   of [Gnp.sample_fast], one [Prng.float] per skip: same graph AND same
+   generator end state, for every seed.  [~stream_cap:1] forces the
+   edge-stream buffer through its growth path (capacity 1 doubles ~17
+   times at n = 256) — the regression pin for the capacity-handling bug
+   class. *)
 let test_sample_gnp_block_eq_scalar () =
   List.iter
     (fun seed ->
@@ -190,7 +200,7 @@ let test_sample_gnp_block_eq_scalar () =
         (fun (n, p) ->
           let gb = Prng.create seed and gs = Prng.create seed in
           let b = Sparse.sample_gnp gb ~n ~p in
-          let s = Sparse.sample_gnp_scalar gs ~n ~p in
+          let s = Sparse.of_digraph (Gnp.sample_fast gs ~n ~p) in
           check_bool (Printf.sprintf "seed %d n=%d p=%g graph" seed n p) true
             (spgraph_equal b s);
           check_bool
@@ -205,7 +215,7 @@ let test_sample_gnp_growth_path () =
     (fun seed ->
       let gb = Prng.create seed and gs = Prng.create seed in
       let b = Sparse.sample_gnp ~stream_cap:1 gb ~n:256 ~p:0.05 in
-      let s = Sparse.sample_gnp_scalar gs ~n:256 ~p:0.05 in
+      let s = Sparse.of_digraph (Gnp.sample_fast gs ~n:256 ~p:0.05) in
       check_bool (Printf.sprintf "seed %d grown graph" seed) true
         (spgraph_equal b s);
       check_bool (Printf.sprintf "seed %d grown end state" seed) true
@@ -215,7 +225,7 @@ let test_sample_gnp_growth_path () =
 (* The sharded sampler reads its own documented stream (split children,
    one per shard), so its pins are: byte-identity across pool sizes,
    parent-stream purity, and statistical sanity — not equality with the
-   scalar sampler. *)
+   scalar decode. *)
 let test_sharded_pool_independent () =
   List.iter
     (fun seed ->
@@ -529,7 +539,7 @@ let test_e30_artifact_pool_independent () =
     let rec_ = Sparse_recover.degree_recover graph ~k:64 in
     let adv =
       Sparse_dist.advantage Sparse_dist.max_out_degree
-        ~sample_rand:(fun gt -> Sparse.sample_rand gt ~n:512 ~p:0.05)
+        ~sample_rand:(fun gt -> Sparse.sample_gnp gt ~n:512 ~p:0.05)
         ~sample_planted:(fun gt ->
           fst (Sparse.sample_planted gt ~n:512 ~p:0.05 ~k:48))
         ~calibration:8 ~trials:8 (Prng.create 22)
