@@ -55,7 +55,8 @@ let degree_sums t =
    per-row sort: row i first receives its smaller neighbours from pairs
    (u, i) with u increasing, then its larger ones from pairs (i, v) with
    v increasing.  The segments are read in place, so no merged copy of
-   the stream ever exists, and every pass is a plain loop over rows.
+   the stream ever exists, and every pass is a plain loop over rows
+   with no closure on the per-pair path.
 
    Two strategies, byte-identical output, switched on the pair count:
    - below 2^20 pairs, a direct counting sort scatters each backward

@@ -300,11 +300,11 @@ let test_sample_planted_sharded () =
 (* Cross-commit pins for every sampler entry point: the [Digest] hex of
    the CSR bytes ([row_ptr], then the [row_ptr.(n)] live columns, each
    as a 64-bit little-endian word) and the caller's generator's next
-   [bits64] after the call.  Recorded before the CSR builders were
-   merged into one; a change to a builder, a decode or a draw order
-   shows up here even when both sides of every in-run oracle move
-   together.  The second size of each sampler has more than 2^20 pairs,
-   so both sides of the direct/bucketed build switch are pinned. *)
+   [bits64] after the call.  A change to the CSR build, a decode or a
+   draw order fails here even when both sides of every in-run oracle
+   move together.  The second size of each sampler has more than 2^20
+   pairs, so both sides of the direct/bucketed build switch are
+   pinned. *)
 let csr_digest (t : Bcc_kern.Spgraph.t) =
   let live = t.Bcc_kern.Spgraph.row_ptr.(t.Bcc_kern.Spgraph.n) in
   let b = Buffer.create (8 * (t.Bcc_kern.Spgraph.n + 1 + live)) in
