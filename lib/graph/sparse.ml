@@ -508,21 +508,9 @@ let sample_gnp_sharded g ~n ~p =
   if p < 0.0 || p > 1.0 then
     invalid_arg "Sparse.sample_gnp_sharded: p in [0,1]";
   let total = n * (n - 1) / 2 in
-  if p >= 1.0 then begin
-    (* Deterministic complete graph: no draws on any stream. *)
-    let js = Buf.int_create_uninit (max 1 total) in
-    let fwd_count = Array.make n 0 in
-    let m = ref 0 in
-    for i = 0 to n - 1 do
-      for j = i + 1 to n - 1 do
-        Buf.int_set js !m j;
-        fwd_count.(i) <- fwd_count.(i) + 1;
-        incr m
-      done
-    done;
-    csr_of_segments ~n [| (0, fwd_count, js, !m) |]
-  end
-  else if p <= 0.0 || total = 0 then csr_of_segments ~n [||]
+  (* The deterministic graphs (complete, empty) draw nothing on any
+     stream, so [sample_gnp] builds them without touching [g]. *)
+  if p >= 1.0 || p <= 0.0 || total = 0 then sample_gnp g ~n ~p
   else begin
     let tbl = make_skip_table p in
     let shards = shard_count total in

@@ -240,10 +240,16 @@ let test_sharded_pool_independent () =
     [ 1; 2; 42 ]
 
 let test_sharded_parent_untouched () =
-  let g = Prng.create 23 in
-  let probe = Prng.bits64 (Prng.copy g) in
-  ignore (Sparse.sample_gnp_sharded g ~n:2048 ~p:0.01);
-  check_bool "parent stream position unchanged" true (Prng.bits64 g = probe)
+  List.iter
+    (fun (n, p) ->
+      let g = Prng.create 23 in
+      let probe = Prng.bits64 (Prng.copy g) in
+      ignore (Sparse.sample_gnp_sharded g ~n ~p);
+      check_bool
+        (Printf.sprintf "n=%d p=%g parent stream position unchanged" n p)
+        true
+        (Prng.bits64 g = probe))
+    [ (2048, 0.01); (64, 0.0); (64, 1.0) ]
 
 let test_sharded_edge_count_sane () =
   let n = 4096 and p = 0.01 in
