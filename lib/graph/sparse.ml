@@ -35,22 +35,55 @@ let to_digraph t =
   done;
   g
 
+(* Profiler stage around a pipeline step; a plain call when profiling is
+   off. *)
+let stage name f = if Prof.enabled () then Prof.span name f else f ()
+
+(* [f 0] .. [f (count - 1)] on the [Par] pool; every caller writes
+   disjoint slots, so the result never depends on the schedule. *)
+let par_for count f = ignore (Par.map_array f (Array.init count Fun.id))
+
+(* Out-degrees come from the offsets; in-degrees are a histogram of the
+   columns.  The entry scan is cut into at most 8 equal slices of at
+   least 2^20 entries — a function of m alone — each counted into its
+   own histogram on the [Par] pool.  Integer counts sum to the same
+   totals in any order, so the result is the sequential scan's at any
+   domain count. *)
+(* bcc-lint: allow kern/unsafe-index — check_t proved row_ptr.(n) = Buf.int_length cols and every column in [0, n), so each e < m reads cols in bounds and each histogram index j < n = Buf.int_length h *)
 let degree_sums t =
   Spgraph.check_t t;
-  let n = Spgraph.vertex_count t in
-  let sums = Array.make n 0 in
-  for i = 0 to n - 1 do
-    sums.(i) <- sums.(i) + Spgraph.degree t i;
-    Spgraph.iter_row t i (fun j -> sums.(j) <- sums.(j) + 1)
-  done;
-  sums
+  stage "sparse:degree_sums" (fun () ->
+      let n = Spgraph.vertex_count t in
+      let row_ptr = t.Spgraph.row_ptr and cols = t.Spgraph.cols in
+      let m = row_ptr.(n) in
+      let parts = max 1 (min 8 (m lsr 20)) in
+      let hists =
+        Par.map_array
+          (fun q ->
+            let h = Buf.int_create n in
+            for e = q * m / parts to ((q + 1) * m / parts) - 1 do
+              let j = Buf.int_get cols e in
+              Buf.int_set h j (Buf.int_get h j + 1)
+            done;
+            h)
+          (Array.init parts Fun.id)
+      in
+      let sums = Array.init n (fun i -> row_ptr.(i + 1) - row_ptr.(i)) in
+      Array.iter
+        (fun h ->
+          for i = 0 to n - 1 do
+            sums.(i) <- sums.(i) + Buf.int_get h i
+          done)
+        hists;
+      sums)
 
 (* Build a CSR from forward pairs (i, j), i < j, given as stream
    segments [(row0, counts, js, m)]: [counts.(r)] pairs for row
    [row0 + r], their j's concatenated row-major (ascending within a row)
    in the first [m] slots of [js].  Taken in order, the segments must be
    the global row-major stream — [sample_gnp] passes one segment,
-   [sample_gnp_sharded] one per shard, and a row may straddle two.  That
+   [sample_gnp_sharded] one per shard, the planted samplers the
+   [splice_clique] cut of either, and a row may straddle several.  That
    arrival order makes every output row come out ascending with no
    per-row sort: row i first receives its smaller neighbours from pairs
    (u, i) with u increasing, then its larger ones from pairs (i, v) with
@@ -61,7 +94,7 @@ let degree_sums t =
    Two strategies, byte-identical output, switched on the pair count:
    - below 2^20 pairs, a direct counting sort scatters each backward
      entry (j, i) straight to its final slot — one random write per
-     pair, cheap while [cols] and the cursors fit in cache;
+     pair, cheap while [cols] and the cursors fit in cache; sequential;
    - above, a cache-aware two-phase sort first partitions the backward
      entries into row-range buckets, each packed into one native int
      [j lsl 31 lor i] (sequential writes; the packing is why n >= 2^31
@@ -70,18 +103,30 @@ let degree_sums t =
      m = 5 x 10^8 this takes the build from DRAM-latency bound
      (~43 ns/pair) to memory-bandwidth bound.  Bucketing by row range
      preserves stream order inside each bucket, so rows still receive
-     their entries in ascending order. *)
+     their entries in ascending order.  Its five passes run on the
+     [Par] pool: bucket count, partition and forward fill per work unit
+     (a run of consecutive segments), backward degrees and backward fill
+     per bucket.  Each unit's slice of each bucket comes from a
+     unit x bucket prefix sum, so every write lands where the sequential
+     build would put it, whatever the pool size. *)
 let csr_of_segments ~n segs =
+  let nseg = Array.length segs in
   let fwd_count = Array.make n 0 in
   let m = ref 0 in
-  for s = 0 to Array.length segs - 1 do
+  let last_row = ref 0 in
+  for s = 0 to nseg - 1 do
     let row0, counts, js, ms = segs.(s) in
+    let len = Array.length counts in
     if ms < 0 || ms > Buf.int_length js then
       invalid_arg "Sparse: pair stream shorter than m";
-    if row0 < 0 || row0 + Array.length counts > n then
+    if row0 < 0 || row0 + len > n then
       invalid_arg "Sparse: segment rows out of range";
+    if len > 0 then begin
+      if row0 < !last_row then invalid_arg "Sparse: segments out of row order";
+      last_row := row0 + len - 1
+    end;
     let sum = ref 0 in
-    for r = 0 to Array.length counts - 1 do
+    for r = 0 to len - 1 do
       if counts.(r) < 0 then invalid_arg "Sparse: negative per-row count";
       fwd_count.(row0 + r) <- fwd_count.(row0 + r) + counts.(r);
       sum := !sum + counts.(r)
@@ -100,7 +145,7 @@ let csr_of_segments ~n segs =
   (* Per-row degrees: the forward counts plus one per backward entry. *)
   let deg = Array.copy fwd_count in
   if m < 1 lsl 20 || n >= 1 lsl 31 then begin
-    for s = 0 to Array.length segs - 1 do
+    for s = 0 to nseg - 1 do
       let _, _, js, ms = segs.(s) in
       for e = 0 to ms - 1 do
         let j = Buf.int_get js e in
@@ -112,7 +157,7 @@ let csr_of_segments ~n segs =
        and the scatter writes exactly [deg.(i)] entries into row i. *)
     let cols = Buf.int_create_uninit (2 * m) in
     let cursor = Array.sub row_ptr 0 n in
-    for s = 0 to Array.length segs - 1 do
+    for s = 0 to nseg - 1 do
       let row0, counts, js, _ = segs.(s) in
       let e = ref 0 in
       for r = 0 to Array.length counts - 1 do
@@ -137,70 +182,131 @@ let csr_of_segments ~n segs =
     while ((n - 1) lsr !shift) + 1 > target do incr shift done;
     let shift = !shift in
     let nb = ((n - 1) lsr shift) + 1 in
-    let bcount = Array.make nb 0 in
-    for s = 0 to Array.length segs - 1 do
-      let _, _, js, ms = segs.(s) in
-      for e = 0 to ms - 1 do
-        let b = Buf.int_get js e lsr shift in
-        bcount.(b) <- bcount.(b) + 1
-      done
-    done;
+    (* Work units: runs of consecutive segments holding at least 2^18
+       pairs each (the last takes the rest) — a function of the segment
+       sizes only.  Thousands of one-row clique segments then cost no
+       more dispatches or offset-table rows than the shards between
+       them. *)
+    let units =
+      let acc = ref [] and first = ref 0 and pairs = ref 0 in
+      for s = 0 to nseg - 1 do
+        let _, _, _, ms = segs.(s) in
+        pairs := !pairs + ms;
+        if !pairs >= 1 lsl 18 then begin
+          acc := (!first, s + 1) :: !acc;
+          first := s + 1;
+          pairs := 0
+        end
+      done;
+      if !first < nseg then acc := (!first, nseg) :: !acc;
+      Array.of_list (List.rev !acc)
+    in
+    let nu = Array.length units in
+    let ucount =
+      Par.map_array
+        (fun (s0, s1) ->
+          let c = Array.make nb 0 in
+          for s = s0 to s1 - 1 do
+            let _, _, js, ms = segs.(s) in
+            for e = 0 to ms - 1 do
+              let b = Buf.int_get js e lsr shift in
+              c.(b) <- c.(b) + 1
+            done
+          done;
+          c)
+        units
+    in
+    (* Unit u's slice of bucket b starts at [uoff.(u * nb + b)], after
+       every earlier unit's: bucket-major, unit-minor, i.e. stream
+       order. *)
+    let uoff = Array.make (nu * nb) 0 in
     let bptr = Array.make (nb + 1) 0 in
     for b = 0 to nb - 1 do
-      bptr.(b + 1) <- bptr.(b) + bcount.(b)
-    done;
-    (* Partition pass: pack (j, i) and append to j's bucket, accumulating
-       backward degrees on the way (one pass over the stream instead of a
-       later re-read of [packed]). *)
-    let packed = Buf.int_create_uninit m in
-    let bcur = Array.sub bptr 0 nb in
-    for s = 0 to Array.length segs - 1 do
-      let row0, counts, js, _ = segs.(s) in
-      let e = ref 0 in
-      for r = 0 to Array.length counts - 1 do
-        let i = row0 + r in
-        for d = !e to !e + counts.(r) - 1 do
-          let j = Buf.int_get js d in
-          let b = j lsr shift in
-          Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
-          bcur.(b) <- bcur.(b) + 1;
-          deg.(j) <- deg.(j) + 1
-        done;
-        e := !e + counts.(r)
+      bptr.(b + 1) <- bptr.(b);
+      for u = 0 to nu - 1 do
+        uoff.((u * nb) + b) <- bptr.(b + 1);
+        bptr.(b + 1) <- bptr.(b + 1) + ucount.(u).(b)
       done
     done;
+    (* Partition pass: pack (j, i) and append to j's bucket at the
+       unit's own cursors. *)
+    let packed = Buf.int_create_uninit m in
+    par_for nu (fun u ->
+        let s0, s1 = units.(u) in
+        let bcur = Array.sub uoff (u * nb) nb in
+        for s = s0 to s1 - 1 do
+          let row0, counts, js, _ = segs.(s) in
+          let e = ref 0 in
+          for r = 0 to Array.length counts - 1 do
+            let i = row0 + r in
+            for d = !e to !e + counts.(r) - 1 do
+              let j = Buf.int_get js d in
+              let b = j lsr shift in
+              Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
+              bcur.(b) <- bcur.(b) + 1
+            done;
+            e := !e + counts.(r)
+          done
+        done);
+    (* Backward degrees, bucket by bucket: each row belongs to one
+       bucket, so the lanes touch disjoint slots of [deg]. *)
+    par_for nb (fun b ->
+        for e = bptr.(b) to bptr.(b + 1) - 1 do
+          let j = Buf.int_get packed e lsr 31 in
+          deg.(j) <- deg.(j) + 1
+        done);
     let row_ptr = offsets deg in
     (* Uninitialized is safe: forward entries fill the tail
        [fwd_count.(i)] slots of each row, backward entries fill the head
        [deg.(i) - fwd_count.(i)] slots, and the two fills write exactly
        [deg.(i)] entries per row. *)
     let cols = Buf.int_create_uninit (2 * m) in
-    (* Forward fill through per-row cursors, straight from the stream: a
-       row straddling two segments receives the earlier one's entries
-       first. *)
-    let fcur = Array.init n (fun i -> row_ptr.(i + 1) - fwd_count.(i)) in
-    for s = 0 to Array.length segs - 1 do
-      let row0, counts, js, _ = segs.(s) in
-      let e = ref 0 in
-      for r = 0 to Array.length counts - 1 do
-        let i = row0 + r in
-        for d = !e to !e + counts.(r) - 1 do
-          Buf.int_set cols fcur.(i) (Buf.int_get js d);
-          fcur.(i) <- fcur.(i) + 1
-        done;
-        e := !e + counts.(r)
-      done
+    (* Forward fill, unit by unit, straight from the stream.  A row's
+       forward entries fill the tail of its slot range in stream order,
+       so a segment's first row starts after the entries earlier
+       segments gave it ([fstart]); its other rows start their tails. *)
+    let fstart = Array.make nseg 0 in
+    let prev_row = ref (-1) and prev_end = ref 0 in
+    for s = 0 to nseg - 1 do
+      let row0, counts, _, _ = segs.(s) in
+      let len = Array.length counts in
+      if len > 0 then begin
+        let tail i = row_ptr.(i + 1) - fwd_count.(i) in
+        fstart.(s) <- (if row0 = !prev_row then !prev_end else tail row0);
+        let last = row0 + len - 1 in
+        prev_end :=
+          (if len = 1 then fstart.(s) else tail last) + counts.(len - 1);
+        prev_row := last
+      end
     done;
+    par_for nu (fun u ->
+        let s0, s1 = units.(u) in
+        for s = s0 to s1 - 1 do
+          let row0, counts, js, _ = segs.(s) in
+          let e = ref 0 in
+          for r = 0 to Array.length counts - 1 do
+            let i = row0 + r in
+            let c =
+              if r = 0 then fstart.(s) else row_ptr.(i + 1) - fwd_count.(i)
+            in
+            for d = !e to !e + counts.(r) - 1 do
+              Buf.int_set cols (c + d - !e) (Buf.int_get js d)
+            done;
+            e := !e + counts.(r)
+          done
+        done);
     (* Backward fill, bucket by bucket: target rows and cursors stay
-       cache-resident for the whole bucket. *)
+       cache-resident for the whole bucket, and each lane owns its
+       buckets' rows. *)
     let cursor = Array.sub row_ptr 0 n in
     let mask31 = (1 lsl 31) - 1 in
-    for e = 0 to m - 1 do
-      let w = Buf.int_get packed e in
-      let j = w lsr 31 in
-      Buf.int_set cols cursor.(j) (w land mask31);
-      cursor.(j) <- cursor.(j) + 1
-    done;
+    par_for nb (fun b ->
+        for e = bptr.(b) to bptr.(b + 1) - 1 do
+          let w = Buf.int_get packed e in
+          let j = w lsr 31 in
+          Buf.int_set cols cursor.(j) (w land mask31);
+          cursor.(j) <- cursor.(j) + 1
+        done);
     Spgraph.make ~n ~row_ptr ~cols
   end
 
@@ -220,8 +326,9 @@ let csr_of_segments ~n segs =
 
    [?stream_cap] overrides the initial pair-stream capacity (normally
    the binomial mean + 6 sigma) so tests can force the geometric-growth
-   path; the sampled graph is identical for any value. *)
-let sample_gnp ?stream_cap g ~n ~p =
+   path; the sampled graph is identical for any value.  Returns the
+   stream as one [csr_of_segments] segment. *)
+let gnp_segments ?stream_cap g ~n ~p =
   if n < 0 then invalid_arg "Sparse.sample_gnp: n >= 0";
   if p < 0.0 || p > 1.0 then invalid_arg "Sparse.sample_gnp: p in [0,1]";
   let total = n * (n - 1) / 2 in
@@ -297,7 +404,13 @@ let sample_gnp ?stream_cap g ~n ~p =
       done
     done
   end;
-  csr_of_segments ~n [| (0, fwd_count, !js, !m) |]
+  [| (0, fwd_count, !js, !m) |]
+
+let build ~n segs = stage "sparse:build" (fun () -> csr_of_segments ~n segs)
+
+let sample_gnp ?stream_cap g ~n ~p =
+  build ~n
+    (stage "sparse:decode" (fun () -> gnp_segments ?stream_cap g ~n ~p))
 
 (* ---------- Word-level skip decode for the sharded sampler ---------- *)
 
@@ -502,15 +615,16 @@ let shard_count total = if total < 65536 then 1 else 64
    is byte-identical at any [BCC_DOMAINS].  This is a new, documented
    stream: same-seed results differ from [sample_gnp] by construction
    (see docs/PERFORMANCE.md "Batched draws"). *)
-let sample_gnp_sharded g ~n ~p =
+let sharded_segments g ~n ~p =
   if n < 0 then invalid_arg "Sparse.sample_gnp_sharded: n >= 0";
   if n >= 1 lsl 30 then invalid_arg "Sparse.sample_gnp_sharded: n < 2^30";
   if p < 0.0 || p > 1.0 then
     invalid_arg "Sparse.sample_gnp_sharded: p in [0,1]";
   let total = n * (n - 1) / 2 in
   (* The deterministic graphs (complete, empty) draw nothing on any
-     stream, so [sample_gnp] builds them without touching [g]. *)
-  if p >= 1.0 || p <= 0.0 || total = 0 then sample_gnp g ~n ~p
+     stream, so [sample_gnp]'s decode builds them without touching
+     [g]. *)
+  if p >= 1.0 || p <= 0.0 || total = 0 then gnp_segments g ~n ~p
   else begin
     let tbl = make_skip_table p in
     let shards = shard_count total in
@@ -518,134 +632,121 @@ let sample_gnp_sharded g ~n ~p =
     let rem = total mod shards in
     let lo_of s = (base * s) + min s rem in
     let root = Prng.split g shard_salt in
-    let results =
-      Par.map_array
-        (fun s ->
-          let child = Prng.split root s in
-          let lo = lo_of s and hi = lo_of (s + 1) in
-          if lo >= hi then (0, [||], Buf.int_create_uninit 1, 0)
-          else decode_shard ~n ~mean_per_pair:p tbl child ~lo ~hi)
-        (Array.init shards Fun.id)
-    in
-    csr_of_segments ~n results
+    Par.map_array
+      (fun s ->
+        let child = Prng.split root s in
+        let lo = lo_of s and hi = lo_of (s + 1) in
+        if lo >= hi then (0, [||], Buf.int_create_uninit 1, 0)
+        else decode_shard ~n ~mean_per_pair:p tbl child ~lo ~hi)
+      (Array.init shards Fun.id)
   end
 
-(* Union the rows of [t] with the clique on [cs]: one count pass, one
-   sorted-merge fill pass — existing edges inside the clique dedupe
-   against the merge, exactly like [Planted.sample_planted_at]'s
-   idempotent [add_edge] calls on the dense side. *)
-let overlay_clique t cs =
-  Spgraph.check_t t;
-  let n = Spgraph.vertex_count t in
+let sample_gnp_sharded g ~n ~p =
+  build ~n (stage "sparse:decode" (fun () -> sharded_segments g ~n ~p))
+
+(* Splice the clique on [cs] (sorted, distinct) into the pair stream
+   [segs], so that one CSR build yields the planted instance.  Every
+   clique row becomes its own one-row segment: the sorted union of its
+   sampled pairs, gathered from every segment the row straddles, and
+   the clique members above it — a clique pair the base graph already
+   holds appears once, like [Planted.sample_planted_at]'s idempotent
+   [add_edge] calls on the dense side.  Runs of other rows stay where
+   they are as [Bigarray.Array1.sub] views of the decode buffers (a
+   segment with no clique row passes through whole), so nothing but the
+   k clique rows is copied.  Clique rows no segment covers (a row with
+   no pair slot, such as n - 1) get their segment at their place in row
+   order. *)
+(* bcc-lint: allow kern/unsafe-index — a clique row's buffer holds its sampled pairs plus the kc - ci - 1 members above it, the most the merge can emit; every piece (js, off, len) is a row's slice of a segment whose per-row counts sum to m <= Buf.int_length js (csr_of_segments checks the same) *)
+let splice_clique segs cs =
   let kc = Array.length cs in
-  if kc = 0 then t
-  else begin
-    let in_c = Array.make n false in
-    Array.iter
-      (fun v ->
-        if v < 0 || v >= n then invalid_arg "Sparse: clique vertex out of range";
-        in_c.(v) <- true)
-      cs;
-    let row_ptr = t.Spgraph.row_ptr and cols = t.Spgraph.cols in
-    (* |row i ∪ (cs \ {i})| *)
-    let union_size i =
-      let a = ref row_ptr.(i) and ae = row_ptr.(i + 1) in
-      let b = ref 0 in
-      let count = ref 0 in
-      while !a < ae && !b < kc do
-        let x = Buf.int_get cols !a and y = Array.unsafe_get cs !b in
-        if y = i then incr b
-        else if x < y then begin
-          incr count;
-          incr a
-        end
-        else if y < x then begin
-          incr count;
-          incr b
-        end
-        else begin
-          incr count;
-          incr a;
-          incr b
-        end
-      done;
-      count := !count + (ae - !a);
-      while !b < kc do
-        if Array.unsafe_get cs !b <> i then incr count;
-        incr b
-      done;
-      !count
-    in
-    let row_ptr' = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      let d =
-        if in_c.(i) then union_size i else row_ptr.(i + 1) - row_ptr.(i)
-      in
-      row_ptr'.(i + 1) <- row_ptr'.(i) + d
-    done;
-    (* Uninitialized is safe: [emit] writes every slot in order — the
-       per-row union sizes sum to exactly [row_ptr'.(n)]. *)
-    let cols' = Buf.int_create_uninit row_ptr'.(n) in
-    let out = ref 0 in
+  let out = ref [] in
+  let ci = ref 0 in
+  (* The pieces (buffer, offset, length) of clique row [cs.(!ci)] met so
+     far, latest first. *)
+  let pieces = ref [] in
+  let flush () =
+    let c = cs.(!ci) in
+    let parts = List.rev !pieces in
+    let sampled = List.fold_left (fun a (_, _, len) -> a + len) 0 parts in
+    let row = Buf.int_create_uninit (sampled + kc - !ci - 1) in
+    let u = ref 0 in
     let emit j =
-      Buf.int_set cols' !out j;
-      incr out
+      Buf.int_set row !u j;
+      incr u
     in
-    for i = 0 to n - 1 do
-      if in_c.(i) then begin
-        let a = ref row_ptr.(i) and ae = row_ptr.(i + 1) in
-        let b = ref 0 in
-        while !a < ae && !b < kc do
-          let x = Buf.int_get cols !a and y = Array.unsafe_get cs !b in
-          if y = i then incr b
-          else if x < y then begin
-            emit x;
-            incr a
-          end
-          else if y < x then begin
-            emit y;
+    let b = ref (!ci + 1) in
+    List.iter
+      (fun (js, off, len) ->
+        for e = off to off + len - 1 do
+          let x = Buf.int_get js e in
+          while !b < kc && cs.(!b) < x do
+            emit cs.(!b);
             incr b
-          end
-          else begin
-            emit x;
-            incr a;
-            incr b
-          end
-        done;
-        while !a < ae do
-          emit (Buf.int_get cols !a);
-          incr a
-        done;
-        while !b < kc do
-          let y = Array.unsafe_get cs !b in
-          if y <> i then emit y;
-          incr b
-        done
-      end
-      else
-        for idx = row_ptr.(i) to row_ptr.(i + 1) - 1 do
-          emit (Buf.int_get cols idx)
-        done
+          done;
+          if !b < kc && cs.(!b) = x then incr b;
+          emit x
+        done)
+      parts;
+    while !b < kc do
+      emit cs.(!b);
+      incr b
     done;
-    Spgraph.make ~n ~row_ptr:row_ptr' ~cols:cols'
-  end
+    out := (c, [| !u |], row, !u) :: !out;
+    pieces := [];
+    incr ci
+  in
+  Array.iter
+    (fun ((row0, counts, js, _) as seg) ->
+      let len = Array.length counts in
+      (* Rows [run, r) are the current run of non-clique rows; their
+         pairs start at [run_off]. *)
+      let run = ref 0 and run_off = ref 0 and off = ref 0 in
+      let emit_run r =
+        let pairs = !off - !run_off in
+        out :=
+          ( row0 + !run,
+            Array.sub counts !run (r - !run),
+            Bigarray.Array1.sub js !run_off pairs,
+            pairs )
+          :: !out
+      in
+      for r = 0 to len - 1 do
+        let row = row0 + r in
+        while !ci < kc && cs.(!ci) < row do
+          flush ()
+        done;
+        if !ci < kc && cs.(!ci) = row then begin
+          if r > !run then emit_run r;
+          pieces := (js, !off, counts.(r)) :: !pieces;
+          run := r + 1;
+          run_off := !off + counts.(r)
+        end;
+        off := !off + counts.(r)
+      done;
+      if !run = 0 then out := seg :: !out
+      else if !run < len then emit_run len)
+    segs;
+  while !ci < kc do
+    flush ()
+  done;
+  Array.of_list (List.rev !out)
 
-(* Sparse-regime planted instance: the clique vertex set is drawn first
-   ([Prng.subset]) and the G(n, p) stream second — [Planted.sample_planted]'s
-   draw order, so dense and sparse planted instances on a shared seed use
-   the PRNG identically. *)
-let sample_planted g ~n ~p ~k =
+(* Planted instance over a base-graph decode: the clique vertex set is
+   drawn first ([Prng.subset]) and the G(n, p) stream second —
+   [Planted.sample_planted]'s draw order, so dense and sparse planted
+   instances on a shared seed use the PRNG identically — then the clique
+   is spliced into the pair stream and the CSR is built once. *)
+let planted decode g ~n ~p ~k =
   let c = Prng.subset g ~n ~k in
-  let base = sample_gnp g ~n ~p in
+  let segs = stage "sparse:decode" (fun () -> decode g ~n ~p) in
   let cs = Array.of_list (List.sort_uniq Int.compare c) in
-  (overlay_clique base cs, c)
+  (build ~n (stage "sparse:splice" (fun () -> splice_clique segs cs)), c)
+
+let sample_planted g ~n ~p ~k =
+  planted (fun g ~n ~p -> gnp_segments g ~n ~p) g ~n ~p ~k
 
 (* Sharded twin: subset from the parent stream first (same position as
    [sample_planted]), then the sharded G(n, p) — whose shard children
    never touch the parent stream, so after this call the parent sits
    exactly one [subset] past where it started. *)
-let sample_planted_sharded g ~n ~p ~k =
-  let c = Prng.subset g ~n ~k in
-  let base = sample_gnp_sharded g ~n ~p in
-  let cs = Array.of_list (List.sort_uniq Int.compare c) in
-  (overlay_clique base cs, c)
+let sample_planted_sharded g ~n ~p ~k = planted sharded_segments g ~n ~p ~k

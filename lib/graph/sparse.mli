@@ -45,8 +45,12 @@ val count_common_out_neighbors : t -> int -> int -> int
     distinguisher statistic. *)
 
 val degree_sums : t -> int array
-(** Per-vertex out + in degree in one O(n + m) histogram pass (dense
-    [in_degree] is an O(n) column scan per vertex). *)
+(** Per-vertex out + in degree: out-degrees from the offsets, in-degrees
+    from one O(m) histogram of the columns (dense [in_degree] is an O(n)
+    column scan per vertex).  The column scan is cut into at most 8
+    slices of at least 2^20 entries, counted on the [Par] pool; the
+    counts are exact integers, so the result is the same at any
+    [BCC_DOMAINS]. *)
 
 val sample_gnp : ?stream_cap:int -> Prng.t -> n:int -> p:float -> t
 (** G(n, p) straight into CSR, and the sparse-regime null model:
@@ -59,8 +63,8 @@ val sample_gnp : ?stream_cap:int -> Prng.t -> n:int -> p:float -> t
     (test/test_sparse.ml pins graph and end state against
     [of_digraph (Gnp.sample_fast ...)]).  The CSR build is a direct
     counting-sort scatter below 2^20 pairs and a cache-aware bucketed
-    sort above (docs/PERFORMANCE.md "Batched draws"); both emit the same
-    bytes.
+    sort above, whose passes run on the [Par] pool (docs/PERFORMANCE.md
+    "Batched draws"); both emit the same bytes at any [BCC_DOMAINS].
 
     [?stream_cap] overrides the initial pair-stream capacity (default:
     binomial mean + 6 sigma) to force the geometric-growth path in
@@ -85,13 +89,20 @@ val sample_planted_sharded :
   Prng.t -> n:int -> p:float -> k:int -> t * int list
 (** {!sample_planted} over the sharded base sampler: clique subset first
     from the parent stream ([Prng.subset], same position as
-    {!sample_planted}), then {!sample_gnp_sharded} (parent untouched),
-    then the clique overlay.  After the call the parent stream sits
-    exactly one [subset] past where it started. *)
+    {!sample_planted}), then {!sample_gnp_sharded}'s per-shard decode
+    (parent untouched), then the same clique splice and one CSR build.
+    A clique row whose pairs straddle two shards is gathered from both.
+    After the call the parent stream sits exactly one [subset] past
+    where it started.  Byte-identical at any [BCC_DOMAINS]. *)
 
 val sample_planted : Prng.t -> n:int -> p:float -> k:int -> (t * int list)
 (** Planted clique over the G(n, p) base: clique subset first
     ([Prng.subset], matching [Planted.sample_planted]'s draw order), then
-    the {!sample_gnp} stream, then a sorted-merge union of the clique
-    pairs into the affected rows.  Returns the instance and the planted
-    set. *)
+    the {!sample_gnp} pair stream, then one CSR build of that stream with
+    the clique spliced in: each clique row becomes a one-row segment
+    holding the sorted union of its sampled pairs and the clique members
+    above it, and the runs of other rows stay in place as views of the
+    decode buffer.  No base CSR is built and no column buffer is copied;
+    the result is byte-identical to overlaying the clique on
+    {!sample_gnp}'s graph (test/test_sparse.ml keeps that overlay as the
+    oracle).  Returns the instance and the planted set. *)

@@ -771,9 +771,51 @@ module Spgraph = struct
   let check_vertex t i =
     if i < 0 || i >= t.n then invalid_arg "Spgraph: vertex out of range"
 
+  (* Fixed-grain row-range sharding.  256 rows per chunk keeps a chunk's
+     work around 10^5..10^6 column touches in the sparse regimes the
+     kernels target — coarse enough to amortize dispatch, fine enough to
+     load-balance — and, critically, the chunking is a function of n
+     alone, so the partials (and their left-to-right integer sum) are the
+     same whatever the domain count. *)
+  let grain = 256
+
+  let chunk_ranges n f =
+    let chunks = ((n - 1) / grain) + 1 in
+    if chunks = 1 then [| f 0 n |]
+    else
+      Par.map_array
+        (fun c -> f (c * grain) (min n ((c + 1) * grain)))
+        (Array.init chunks Fun.id)
+
+  let sum_over_rows n f = Array.fold_left ( + ) 0 (chunk_ranges n f)
+
+  (* The column checks of rows [lo, hi): the first failing row's message,
+     rows in ascending order. *)
+  (* bcc-lint: allow kern/unsafe-index — scan_rows runs only after check_t has proved the offsets monotone from 0 to Buf.int_length cols, so every idx in [row_ptr.(i), row_ptr.(i+1)) is in bounds *)
+  let scan_rows t lo hi =
+    match
+      for i = lo to hi - 1 do
+        let prev = ref (-1) in
+        for idx = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
+          let j = Buf.int_get t.cols idx in
+          if j <= !prev then invalid_arg "Spgraph: row not strictly ascending";
+          if j < 0 || j >= t.n then invalid_arg "Spgraph: column out of range";
+          if j = i then invalid_arg "Spgraph: diagonal entry";
+          prev := j
+        done
+      done
+    with
+    | () -> None
+    | exception Invalid_argument msg -> Some msg
+
   (* Full invariant scan, O(n + m): offsets monotone with the right
      endpoints, every row strictly ascending, in range, diagonal-free.
-     Kernels call this once before entering their unchecked loops. *)
+     Kernels call this once before entering their unchecked loops.  The
+     offsets are proved monotone before any column is read, so every
+     row's slice lies inside [cols]; the column scan then runs on
+     [grain]-row chunks in parallel, each stopping at its first failing
+     row, and the lowest failing chunk's message is raised — the message
+     the sequential scan would raise, at any domain count. *)
   let check_t t =
     if not t.checked then begin
       if t.n < 0 then invalid_arg "Spgraph: negative vertex count";
@@ -784,16 +826,13 @@ module Spgraph = struct
         invalid_arg "Spgraph: row_ptr must end at the column count";
       for i = 0 to t.n - 1 do
         if t.row_ptr.(i) > t.row_ptr.(i + 1) then
-          invalid_arg "Spgraph: row_ptr must be monotone";
-        let prev = ref (-1) in
-        for idx = t.row_ptr.(i) to t.row_ptr.(i + 1) - 1 do
-          let j = Buf.int_get t.cols idx in
-          if j <= !prev then invalid_arg "Spgraph: row not strictly ascending";
-          if j < 0 || j >= t.n then invalid_arg "Spgraph: column out of range";
-          if j = i then invalid_arg "Spgraph: diagonal entry";
-          prev := j
-        done
+          invalid_arg "Spgraph: row_ptr must be monotone"
       done;
+      let scan () =
+        let failures = Array.to_list (chunk_ranges t.n (scan_rows t)) in
+        Option.iter invalid_arg (List.find_map Fun.id failures)
+      in
+      if Prof.enabled () then Prof.span "kern:spgraph.check" scan else scan ();
       t.checked <- true
     end
 
@@ -856,26 +895,6 @@ module Spgraph = struct
       end
     done;
     !count
-
-  (* Fixed-grain row-range sharding.  256 rows per chunk keeps a chunk's
-     work around 10^5..10^6 column touches in the sparse regimes the
-     kernels target — coarse enough to amortize dispatch, fine enough to
-     load-balance — and, critically, the chunking is a function of n
-     alone, so the partials (and their left-to-right integer sum) are the
-     same whatever the domain count. *)
-  let grain = 256
-
-  let sum_over_rows n f =
-    if n <= 0 then 0
-    else begin
-      let chunks = ((n - 1) / grain) + 1 in
-      if chunks = 1 then f 0 n
-      else
-        Array.fold_left ( + ) 0
-          (Par.map_array
-             (fun c -> f (c * grain) (min n ((c + 1) * grain)))
-             (Array.init chunks Fun.id))
-    end
 
   (* Keep edge (i, j) iff (j, i) is also present — [Digraph]'s A land A^T
      core.  Build the transpose CSR in one O(n + m) counting-sort pass

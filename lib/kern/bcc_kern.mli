@@ -186,9 +186,13 @@ module Spgraph : sig
 
   val check_t : t -> unit
   (** O(n + m) invariant scan: offsets monotone with the right endpoints,
-      rows strictly ascending, in range, diagonal-free.  Amortized O(1):
-      a pass that succeeds sets [checked] and later calls return
-      immediately. *)
+      rows strictly ascending, in range, diagonal-free.  The offsets are
+      checked before any column is read; the column scan then runs on
+      fixed 256-row chunks on the [Par] pool, and when several rows are
+      malformed the lowest one's message is raised, at any
+      [BCC_DOMAINS].  Amortized O(1): a pass that succeeds sets
+      [checked] and later calls return immediately (only a scan that
+      runs opens the [kern:spgraph.check] profiler span). *)
 
   val check_vertex : t -> int -> unit
 

@@ -284,6 +284,41 @@ let test_metrics_histogram_feed () =
           check_int "one observation per span exit" 2 count
       | _ -> Alcotest.fail "prof_span_seconds histogram missing")
 
+(* The sparse pipeline's stage spans: decode, splice and build under the
+   sampler call, the CSR check under the build (once: a second check_t
+   of the same graph skips the scan and opens no span), and the degree
+   scan.  Call counts are the same at any domain count. *)
+let test_sparse_stage_spans () =
+  let run domains =
+    Par.set_domain_count domains;
+    with_prof (fun () ->
+        Prof.span "t" (fun () ->
+            let g, _ =
+              Sparse.sample_planted_sharded (Prng.create 5) ~n:2048 ~p:0.02
+                ~k:32
+            in
+            Bcc_kern.Spgraph.check_t g;
+            ignore (Sparse.degree_sums g));
+        Prof.stop ();
+        let r = Prof.report () in
+        List.map
+          (fun path -> (String.concat "/" path, (get_node path r).Prof.calls))
+          [
+            [ "t"; "sparse:decode" ];
+            [ "t"; "sparse:splice" ];
+            [ "t"; "sparse:build" ];
+            [ "t"; "sparse:build"; "kern:spgraph.check" ];
+            [ "t"; "sparse:degree_sums" ];
+          ])
+  in
+  let old = Par.domain_count () in
+  Fun.protect
+    ~finally:(fun () -> Par.set_domain_count old)
+    (fun () ->
+      let one = run 1 and four = run 4 in
+      List.iter (fun (path, calls) -> check_int path 1 calls) one;
+      check_bool "same spans and calls at 1 and 4 domains" true (one = four))
+
 let () =
   Alcotest.run "prof"
     [
@@ -306,6 +341,8 @@ let () =
             test_comparison_bytes_stable_across_runs;
           Alcotest.test_case "deterministic counter split" `Quick
             test_deterministic_counter_split;
+          Alcotest.test_case "sparse stage spans" `Quick
+            test_sparse_stage_spans;
         ] );
       ( "exporters",
         [

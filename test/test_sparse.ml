@@ -107,24 +107,162 @@ let test_degree_sums_vs_dense () =
   in
   check_bool "degree_sums" true (want = Sparse.degree_sums sg)
 
+(* [make]'s verdict: [None] when it accepts, else its message. *)
+let make_verdict ~n ~row_ptr ~cols =
+  match Bcc_kern.Spgraph.make ~n ~row_ptr ~cols with
+  | _ -> None
+  | exception Invalid_argument msg -> Some msg
+
+let check_verdict = Alcotest.(check (option string))
+
+(* One case per check of the validator, each asserting the message of
+   the check it reaches. *)
 let test_make_rejects_malformed () =
   let ints l = Bcc_kern.Buf.int_of_array (Array.of_list l) in
-  let expect_invalid name f =
-    check_bool name true
-      (match f () with
-      | exception Invalid_argument _ -> true
-      | _ -> false)
+  let expect name msg ~n ~row_ptr ~cols =
+    check_verdict name (Some ("Spgraph: " ^ msg))
+      (make_verdict ~n ~row_ptr ~cols:(ints cols))
   in
-  expect_invalid "descending row" (fun () ->
-      Bcc_kern.Spgraph.make ~n:3 ~row_ptr:[| 0; 2; 2; 2 |] ~cols:(ints [ 2; 1 ]));
-  expect_invalid "duplicate column" (fun () ->
-      Bcc_kern.Spgraph.make ~n:3 ~row_ptr:[| 0; 2; 2; 2 |] ~cols:(ints [ 1; 1 ]));
-  expect_invalid "diagonal" (fun () ->
-      Bcc_kern.Spgraph.make ~n:2 ~row_ptr:[| 0; 1; 1 |] ~cols:(ints [ 0 ]));
-  expect_invalid "column out of range" (fun () ->
-      Bcc_kern.Spgraph.make ~n:2 ~row_ptr:[| 0; 1; 1 |] ~cols:(ints [ 5 ]));
-  expect_invalid "offsets not monotone" (fun () ->
-      Bcc_kern.Spgraph.make ~n:2 ~row_ptr:[| 0; 1; 0 |] ~cols:(ints [ 1 ]))
+  expect "negative n" "negative vertex count" ~n:(-1) ~row_ptr:[||] ~cols:[];
+  expect "offset count" "row_ptr must have n + 1 offsets" ~n:2
+    ~row_ptr:[| 0; 0 |] ~cols:[];
+  expect "first offset" "row_ptr must start at 0" ~n:2 ~row_ptr:[| 1; 1; 1 |]
+    ~cols:[ 1 ];
+  expect "last offset" "row_ptr must end at the column count" ~n:2
+    ~row_ptr:[| 0; 1; 0 |] ~cols:[ 1 ];
+  expect "offsets not monotone" "row_ptr must be monotone" ~n:3
+    ~row_ptr:[| 0; 2; 1; 2 |] ~cols:[ 1; 2 ];
+  (* Row 0's offsets reach past the 4 columns: the monotonicity check
+     must fire before any column of row 0 is read. *)
+  expect "row past the columns" "row_ptr must be monotone" ~n:8
+    ~row_ptr:[| 0; 5; 4; 4; 4; 4; 4; 4; 4 |] ~cols:[ 1; 2; 3; 4 ];
+  expect "descending row" "row not strictly ascending" ~n:3
+    ~row_ptr:[| 0; 2; 2; 2 |] ~cols:[ 2; 1 ];
+  expect "duplicate column" "row not strictly ascending" ~n:3
+    ~row_ptr:[| 0; 2; 2; 2 |] ~cols:[ 1; 1 ];
+  expect "column out of range" "column out of range" ~n:2
+    ~row_ptr:[| 0; 1; 1 |] ~cols:[ 5 ];
+  expect "diagonal" "diagonal entry" ~n:2 ~row_ptr:[| 0; 1; 1 |] ~cols:[ 0 ]
+
+(* The column scan runs on 256-row chunks in parallel.  On the 4096-row
+   cycle (row i = {i - 1, i + 1} mod n, 16 chunks) with defects in two
+   chunks, the lower row's message must win whichever defect kind sits
+   lower, at any domain count. *)
+let test_lowest_row_message_wins () =
+  let n = 4096 in
+  let row_ptr = Array.init (n + 1) (fun i -> 2 * i) in
+  let cycle =
+    Array.init (2 * n) (fun e ->
+        let i = e / 2 in
+        let a = (i + n - 1) mod n and b = (i + 1) mod n in
+        if e mod 2 = 0 then min a b else max a b)
+  in
+  (* Each defect rewrites one entry of an interior row r = {r-1, r+1}. *)
+  let diagonal r = (2 * r, r)
+  and out_of_range r = ((2 * r) + 1, n + 3)
+  and descending r = (2 * r, r + 1) in
+  List.iter
+    (fun (lo, lo_defect, hi, hi_defect, want) ->
+      let cols = Array.copy cycle in
+      List.iter (fun (e, v) -> cols.(e) <- v) [ lo_defect lo; hi_defect hi ];
+      List.iter
+        (fun domains ->
+          check_verdict
+            (Printf.sprintf "defects at rows %d and %d, %d domains" lo hi
+               domains)
+            (Some ("Spgraph: " ^ want))
+            (with_domains domains (fun () ->
+                 make_verdict ~n ~row_ptr:(Array.copy row_ptr)
+                   ~cols:(Bcc_kern.Buf.int_of_array cols))))
+        [ 1; 4 ])
+    [
+      (700, diagonal, 3000, out_of_range, "diagonal entry");
+      (700, out_of_range, 3000, diagonal, "column out of range");
+      (300, descending, 3900, diagonal, "row not strictly ascending");
+      (* Adjacent chunks: rows 3071 and 3072 straddle a chunk seam. *)
+      (3071, diagonal, 3072, descending, "diagonal entry");
+    ];
+  check_verdict "the cycle itself is valid" None
+    (make_verdict ~n ~row_ptr ~cols:(Bcc_kern.Buf.int_of_array cycle))
+
+(* The reference validator: the checks of [Spgraph.check_t] in order, as
+   one sequential pass — offsets first, then rows ascending. *)
+let reference_verdict ~n ~row_ptr ~cols =
+  let bad msg = Some ("Spgraph: " ^ msg) in
+  let m = Array.length cols in
+  if n < 0 then bad "negative vertex count"
+  else if Array.length row_ptr <> n + 1 then bad "row_ptr must have n + 1 offsets"
+  else if row_ptr.(0) <> 0 then bad "row_ptr must start at 0"
+  else if row_ptr.(n) <> m then bad "row_ptr must end at the column count"
+  else if List.exists (fun i -> row_ptr.(i) > row_ptr.(i + 1)) (List.init n Fun.id)
+  then bad "row_ptr must be monotone"
+  else
+    let rec row i =
+      if i = n then None
+      else
+        let rec entry e prev =
+          if e = row_ptr.(i + 1) then row (i + 1)
+          else
+            let j = cols.(e) in
+            if j <= prev then bad "row not strictly ascending"
+            else if j < 0 || j >= n then bad "column out of range"
+            else if j = i then bad "diagonal entry"
+            else entry (e + 1) j
+        in
+        entry row_ptr.(i) (-1)
+    in
+    row 0
+
+(* Corrupting one offset or one column of a valid sampled CSR, in a way
+   that breaks an invariant, is always rejected — with the reference
+   validator's message.  An offset moves below its predecessor or above
+   its successor (or off 0 / the column count at the ends); a column
+   leaves [0, n), becomes its row's index, or stops ascending. *)
+let prop_corruption_rejected =
+  let gen =
+    QCheck.Gen.(
+      tup4 (int_range 1 1000) (int_range 2 1200) (int_range 0 5)
+        (pair (int_range 0 1_000_000) (int_range 1 4)))
+  in
+  let print (seed, n, kind, (pick, d)) =
+    Printf.sprintf "seed=%d n=%d kind=%d pick=%d d=%d" seed n kind pick d
+  in
+  QCheck.Test.make ~name:"one corrupted offset or column is rejected"
+    ~count:150 (QCheck.make ~print gen)
+    (fun (seed, n, kind, (pick, d)) ->
+      let p = Float.min 0.5 (6.0 /. float_of_int n) in
+      let g = Sparse.sample_gnp (Prng.create seed) ~n ~p in
+      let row_ptr = Array.copy g.Bcc_kern.Spgraph.row_ptr in
+      let cols = Bcc_kern.Buf.int_to_array g.Bcc_kern.Spgraph.cols in
+      let m = Array.length cols in
+      let row_of e =
+        let i = ref 0 in
+        while row_ptr.(!i + 1) <= e do incr i done;
+        !i
+      in
+      (if kind < 2 || m = 0 then begin
+         let i = pick mod (n + 1) in
+         row_ptr.(i) <-
+           (if kind mod 2 = 0 then
+              (if i = n then m else row_ptr.(i + 1)) + d
+            else (if i = 0 then 0 else row_ptr.(i - 1)) - d)
+       end
+       else begin
+         let e = pick mod m in
+         let i = row_of e in
+         let first = e = row_ptr.(i) and last = e = row_ptr.(i + 1) - 1 in
+         cols.(e) <-
+           (match kind with
+           | 2 -> if d mod 2 = 0 then n + d else -d
+           | 3 -> i
+           | _ ->
+               if not first then cols.(e - 1) - (d - 1)
+               else if not last then cols.(e + 1) + (d - 1)
+               else n + d)
+       end);
+      let want = reference_verdict ~n ~row_ptr ~cols in
+      want <> None
+      && make_verdict ~n ~row_ptr ~cols:(Bcc_kern.Buf.int_of_array cols) = want)
 
 (* ------------------------------------------------- stream identity *)
 
@@ -300,6 +438,184 @@ let test_sample_planted_sharded () =
             cs)
         cs)
     [ 1; 2; 42 ]
+
+(* ------------------------------------------------- clique splice *)
+
+(* The splice's oracle: the planted samplers' former second pass, which
+   unioned the rows of a built CSR with the clique on [cs] (sorted,
+   distinct) by sorted merge and rebuilt the whole CSR — existing edges
+   inside the clique dedupe against the merge, exactly like
+   [Planted.sample_planted_at]'s idempotent [add_edge] calls. *)
+let overlay_clique (t : Bcc_kern.Spgraph.t) cs =
+  let module B = Bcc_kern.Buf in
+  let n = t.Bcc_kern.Spgraph.n in
+  let row_ptr = t.Bcc_kern.Spgraph.row_ptr and cols = t.Bcc_kern.Spgraph.cols in
+  let in_c = Array.make n false in
+  Array.iter (fun v -> in_c.(v) <- true) cs;
+  (* Row i's entries, unioned with cs \ {i} when i is a clique vertex. *)
+  let merged_row i emit =
+    let a = ref row_ptr.(i) and ae = row_ptr.(i + 1) in
+    let others = if in_c.(i) then List.filter (( <> ) i) (Array.to_list cs) else [] in
+    List.iter
+      (fun y ->
+        while !a < ae && B.int_get cols !a < y do
+          emit (B.int_get cols !a);
+          incr a
+        done;
+        if !a < ae && B.int_get cols !a = y then incr a;
+        emit y)
+      others;
+    while !a < ae do
+      emit (B.int_get cols !a);
+      incr a
+    done
+  in
+  let row_ptr' = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    let d = ref 0 in
+    merged_row i (fun _ -> incr d);
+    row_ptr'.(i + 1) <- row_ptr'.(i) + !d
+  done;
+  let cols' = B.int_create row_ptr'.(n) in
+  let out = ref 0 in
+  for i = 0 to n - 1 do
+    merged_row i (fun j ->
+        B.int_set cols' !out j;
+        incr out)
+  done;
+  Bcc_kern.Spgraph.make ~n ~row_ptr:row_ptr' ~cols:cols'
+
+(* Rows whose pair slots straddle two of the sharded sampler's 64 shards:
+   the first row of every shard that starts partway into a row. *)
+let straddled_rows n =
+  let total = n * (n - 1) / 2 in
+  let base = total / 64 and rem = total mod 64 in
+  let start_of r = (r * (n - 1)) - (r * (r - 1) / 2) in
+  List.filter_map
+    (fun s ->
+      let lo = (base * s) + min s rem in
+      let r = ref 0 in
+      while start_of (!r + 1) <= lo do incr r done;
+      if start_of !r < lo then Some !r else None)
+    (List.init 63 (fun s -> s + 1))
+
+(* [sample_planted{,_sharded}] splice the clique into the pair stream and
+   build once; overlaying it on [sample_gnp{,_sharded}]'s graph from the
+   same generator must give the same CSR bytes, the same clique and the
+   same next parent draw. *)
+let check_splice_eq_overlay ~label planted base g ~n ~p ~k =
+  let gs = Prng.copy g and go = Prng.copy g in
+  let graph, clique = planted gs ~n ~p ~k in
+  let c = Prng.subset go ~n ~k in
+  let cs = Array.of_list (List.sort_uniq Int.compare c) in
+  let want = overlay_clique (base go ~n ~p) cs in
+  check_ints (label ^ " clique") c clique;
+  check_bool (label ^ " CSR bytes") true (spgraph_equal want graph);
+  check_bool (label ^ " next parent bits64") true (Prng.bits64 gs = Prng.bits64 go);
+  cs
+
+let test_splice_eq_overlay () =
+  let gnp g ~n ~p = Sparse.sample_gnp g ~n ~p in
+  let sharded g ~n ~p = Sparse.sample_gnp_sharded g ~n ~p in
+  let both ~label g ~n ~p ~k =
+    ignore
+      (check_splice_eq_overlay ~label:(label ^ " planted") Sparse.sample_planted
+         gnp g ~n ~p ~k);
+    ignore
+      (check_splice_eq_overlay ~label:(label ^ " sharded")
+         Sparse.sample_planted_sharded sharded g ~n ~p ~k)
+  in
+  List.iter
+    (fun seed ->
+      let g = Prng.create seed in
+      let label fmt = Printf.sprintf ("seed %d " ^^ fmt) seed in
+      (* Small n: no clique, one vertex, every vertex; the empty and
+         complete bases. *)
+      List.iter
+        (fun (n, p, k) -> both ~label:(label "n=%d p=%g k=%d" n p k) g ~n ~p ~k)
+        [
+          (64, 0.1, 0); (64, 0.1, 1); (64, 0.1, 64); (64, 0.0, 12);
+          (64, 1.0, 12); (1, 0.5, 1); (2, 0.5, 2); (0, 0.5, 0);
+        ];
+      (* Above the 2^20-pair switch: ~1.26 x 10^6 and ~1.34 x 10^6 pairs. *)
+      ignore
+        (check_splice_eq_overlay ~label:(label "n=4096 p=0.15 k=64")
+           Sparse.sample_planted gnp g ~n:4096 ~p:0.15 ~k:64);
+      ignore
+        (check_splice_eq_overlay ~label:(label "n=16384 p=0.01 k=64")
+           Sparse.sample_planted_sharded sharded g ~n:16384 ~p:0.01 ~k:64);
+      (* Clique rows straddling two shards, on both sides of the switch. *)
+      List.iter
+        (fun (n, p, k) ->
+          let cs =
+            check_splice_eq_overlay
+              ~label:(label "straddle n=%d p=%g k=%d" n p k)
+              Sparse.sample_planted_sharded sharded g ~n ~p ~k
+          in
+          let straddled = straddled_rows n in
+          check_bool
+            (label "n=%d k=%d clique holds a straddled row" n k)
+            true
+            (Array.exists (fun v -> List.mem v straddled) cs))
+        [ (2048, 0.02, 256); (4096, 0.13, 512) ])
+    [ 1; 2; 42 ];
+  (* Cliques holding vertex 0 and vertex n - 1: the first seed whose
+     subset contains both. *)
+  let n = 64 and k = 16 in
+  let rec find seed =
+    let c = Prng.subset (Prng.create seed) ~n ~k in
+    if List.mem 0 c && List.mem (n - 1) c then seed else find (seed + 1)
+  in
+  List.iter
+    (fun p ->
+      both
+        ~label:(Printf.sprintf "ends n=%d p=%g" n p)
+        (Prng.create (find 1)) ~n ~p ~k)
+    [ 0.0; 0.1; 1.0 ];
+  (* Sharded at n = 512 too (64 shards), with a clique holding both
+     ends, so the last row — in no shard — takes a clique segment. *)
+  let n = 512 and k = 128 in
+  let rec find seed =
+    let c = Prng.subset (Prng.create seed) ~n ~k in
+    if List.mem 0 c && List.mem (n - 1) c then seed else find (seed + 1)
+  in
+  ignore
+    (check_splice_eq_overlay ~label:"ends n=512 sharded"
+       Sparse.sample_planted_sharded sharded (Prng.create (find 1)) ~n ~p:0.05 ~k)
+
+(* The bucketed build, the check and [degree_sums] run on the pool above
+   the 2^20-pair switch; their bytes must not depend on its size. *)
+let test_planted_pool_independent () =
+  let reference_degree_sums (t : Bcc_kern.Spgraph.t) =
+    let n = t.Bcc_kern.Spgraph.n in
+    let sums = Array.init n (Sparse.out_degree t) in
+    for i = 0 to n - 1 do
+      Sparse.iter_out t i (fun j -> sums.(j) <- sums.(j) + 1)
+    done;
+    sums
+  in
+  List.iter
+    (fun (label, sample) ->
+      List.iter
+        (fun seed ->
+          let run () =
+            let g, _ = sample (Prng.create seed) in
+            (g, Sparse.degree_sums g)
+          in
+          let a, da = with_domains 1 run in
+          let b, db = with_domains 4 run in
+          let label = Printf.sprintf "%s seed %d" label seed in
+          check_bool (label ^ " bytes at 1 vs 4 domains") true (spgraph_equal a b);
+          check_bool (label ^ " degree_sums at 1 vs 4 domains") true (da = db);
+          check_bool (label ^ " degree_sums = reference") true
+            (da = reference_degree_sums a))
+        [ 1; 42 ])
+    [
+      ( "sample_planted_sharded n=16384 p=0.01 k=64",
+        fun g -> Sparse.sample_planted_sharded g ~n:16384 ~p:0.01 ~k:64 );
+      ( "sample_planted n=4096 p=0.15 k=64",
+        fun g -> Sparse.sample_planted g ~n:4096 ~p:0.15 ~k:64 );
+    ]
 
 (* ------------------------------------------------- golden digests *)
 
@@ -584,6 +900,9 @@ let () =
             test_degree_sums_vs_dense;
           Alcotest.test_case "make rejects malformed" `Quick
             test_make_rejects_malformed;
+          Alcotest.test_case "lowest failing row wins" `Quick
+            test_lowest_row_message_wins;
+          QCheck_alcotest.to_alcotest prop_corruption_rejected;
         ] );
       ( "stream identity",
         [
@@ -608,6 +927,11 @@ let () =
             test_sharded_edge_count_sane;
           Alcotest.test_case "sample_planted_sharded" `Quick
             test_sample_planted_sharded;
+        ] );
+      ( "clique splice",
+        [
+          Alcotest.test_case "splice = overlay oracle" `Quick
+            test_splice_eq_overlay;
         ] );
       ( "golden",
         [
@@ -636,6 +960,8 @@ let () =
             test_kernels_pool_independent;
           Alcotest.test_case "pipeline at 1 vs 4 domains" `Quick
             test_e30_artifact_pool_independent;
+          Alcotest.test_case "planted build above the switch at 1 vs 4 domains"
+            `Quick test_planted_pool_independent;
         ] );
       ( "digraph",
         [
