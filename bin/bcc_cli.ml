@@ -3,11 +3,12 @@
      bcc_cli [run] [IDS...]      run experiment tables (the default)
      bcc_cli trace PROTO         run a named protocol with a trace sink
      bcc_cli metrics [IDS...]    run experiments and dump the metrics registry
-     bcc_cli kern                self-check the Bcc_kern kernels vs their oracles
      bcc_cli prof TARGET         run an experiment or protocol under the profiler
      bcc_cli lint [ARGS...]      run the two-pass linter (delegates to bcc_lint)
 
-   `bcc_cli e1 e2` (no subcommand) keeps working: `run` is the default. *)
+   `bcc_cli e1 e2` (no subcommand) keeps working: `run` is the default.
+   A malformed BCC_DOMAINS or BCC_E31_N stops every command with exit
+   124 before it starts. *)
 
 open Cmdliner
 
@@ -205,147 +206,6 @@ let metrics_cmd =
         (const run_metrics $ metrics_json_arg $ metrics_proto_arg
        $ metrics_replicas_arg $ ids_arg $ seed_arg))
 
-(* ----------------------------------------------------------------- kern *)
-
-(* A fast deterministic battery pitting every Bcc_kern kernel against its
-   naive Ref oracle; nonzero exit on any disagreement.  The exhaustive
-   property tests live in test/test_kern.ml — this is the installable
-   smoke check (CI runs it via `bench kern --quick` too). *)
-let run_kern_check seed =
-  let g = Prng.create seed in
-  let failures = ref [] in
-  let check name ok =
-    Format.printf "%-28s %s@." name (if ok then "ok" else "MISMATCH");
-    if not ok then failures := name :: !failures
-  in
-  List.iter
-    (fun n ->
-      let m = Gf2_matrix.random g ~rows:n ~cols:n in
-      let rows = Array.init n (Gf2_matrix.row m) in
-      let bools =
-        Array.init n (fun i -> Array.init n (fun j -> Gf2_matrix.get m i j))
-      in
-      let r = Gf2_matrix.rank m in
-      check
-        (Printf.sprintf "gf2-rank n=%d" n)
-        (r = Bcc_kern.Ref.rank_rows rows && r = Bcc_kern.Ref.rank_bools bools))
-    [ 33; 64; 100 ];
-  List.iter
-    (fun (r, k, c) ->
-      let a = Gf2_matrix.random g ~rows:r ~cols:k in
-      let b = Gf2_matrix.random g ~rows:k ~cols:c in
-      let expect =
-        Bcc_kern.Ref.mul_rows
-          (Array.init r (Gf2_matrix.row a))
-          (Array.init k (Gf2_matrix.row b))
-          ~cols:c
-      in
-      check
-        (Printf.sprintf "gf2-mul %dx%d.%dx%d" r k k c)
-        (Gf2_matrix.equal (Gf2_matrix.mul a b) (Gf2_matrix.of_rows expect)))
-    [ (64, 64, 64); (70, 130, 65) ];
-  List.iter
-    (fun logn ->
-      let a =
-        Array.init (1 lsl logn) (fun _ -> if Prng.bool g then 1.0 else 0.0)
-      in
-      let b = Array.copy a in
-      Fourier.wht_inplace a;
-      Bcc_kern.Ref.wht_butterfly b;
-      check (Printf.sprintf "wht len=2^%d" logn) (a = b))
-    [ 10; 16 ];
-  let f = Boolfun.random g 10 in
-  let t = Boolfun.packed_table f in
-  let eval = Boolfun.eval_int f in
-  check "enum count"
-    (Bcc_kern.Enum.count t = Bcc_kern.Ref.count_true ~n:10 eval);
-  check "enum forced-ones"
-    (Bcc_kern.Enum.count_forced_ones t ~mask:0x41
-    = Bcc_kern.Ref.count_forced_ones ~n:10 ~mask:0x41 eval);
-  check "enum flips"
-    (List.for_all
-       (fun i ->
-         Bcc_kern.Enum.count_flips t ~i = Bcc_kern.Ref.count_flips ~n:10 ~i eval)
-       [ 0; 3; 7; 9 ]);
-  let stats = Array.init 1000 (fun _ -> Prng.float g) in
-  check "count-above"
-    (Bcc_kern.Enum.count_above stats ~threshold:0.5
-    = Bcc_kern.Ref.count_above stats ~threshold:0.5);
-  List.iter
-    (fun n ->
-      let graph, _ = Planted.sample_planted g ~n ~k:(max 4 (n / 6)) in
-      let rows = Digraph.unsafe_rows graph in
-      let core = Bcc_kern.Graph.bidirectional_core rows in
-      let ref_core = Bcc_kern.Ref.bidirectional_core rows in
-      check
-        (Printf.sprintf "graph-core n=%d" n)
-        (Array.for_all2 Bitvec.equal core ref_core);
-      check
-        (Printf.sprintf "graph-triangles n=%d" n)
-        (Bcc_kern.Graph.count_triangles core
-        = Bcc_kern.Ref.count_triangles ref_core);
-      check
-        (Printf.sprintf "graph-k4 n=%d" n)
-        (Bcc_kern.Graph.count_k4 core = Bcc_kern.Ref.count_k4 ref_core);
-      let everyone = Bitvec.ones n in
-      check
-        (Printf.sprintf "graph-maxclique n=%d" n)
-        (List.equal Int.equal
-           (Bcc_kern.Graph.max_clique core everyone)
-           (Bcc_kern.Ref.max_clique ref_core everyone)))
-    [ 63; 64; 96 ];
-  (* Sparse CSR kernels vs the dense pipeline on the same graph — the
-     cross-representation oracle (test/test_sparse.ml has the full
-     battery; this is the smoke slice). *)
-  List.iter
-    (fun (n, p) ->
-      let dg = Gnp.sample_fast (Prng.split g n) ~n ~p in
-      let sg = Sparse.sample_gnp (Prng.split g n) ~n ~p in
-      let sg' = Sparse.of_digraph dg in
-      check
-        (Printf.sprintf "sparse-sample n=%d" n)
-        (sg.Bcc_kern.Spgraph.row_ptr = sg'.Bcc_kern.Spgraph.row_ptr
-        && Bcc_kern.Buf.int_to_array sg.Bcc_kern.Spgraph.cols
-           = Bcc_kern.Buf.int_to_array sg'.Bcc_kern.Spgraph.cols);
-      let dcore = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg) in
-      let score = Bcc_kern.Spgraph.bidirectional_core sg in
-      let core_ok = ref true in
-      Array.iteri
-        (fun i row ->
-          if Bitvec.popcount row <> Bcc_kern.Spgraph.degree score i then
-            core_ok := false
-          else
-            Bcc_kern.Spgraph.iter_row score i (fun j ->
-                if not (Bitvec.get row j) then core_ok := false))
-        dcore;
-      check (Printf.sprintf "sparse-core n=%d" n) !core_ok;
-      check
-        (Printf.sprintf "sparse-triangles n=%d" n)
-        (Bcc_kern.Spgraph.count_triangles score
-        = Bcc_kern.Graph.count_triangles dcore);
-      check
-        (Printf.sprintf "sparse-k4 n=%d" n)
-        (Bcc_kern.Spgraph.count_k4 score = Bcc_kern.Graph.count_k4 dcore);
-      check
-        (Printf.sprintf "sparse-degree-sums n=%d" n)
-        (Sparse.degree_sums sg
-        = Array.init n (fun i ->
-              Digraph.out_degree dg i + Digraph.in_degree dg i)))
-    [ (128, 0.1); (256, 0.05); (512, 0.02) ];
-  match !failures with
-  | [] ->
-      Format.printf "all kernels agree with their reference oracles@.";
-      Ok ()
-  | fs ->
-      Error (`Msg ("kernel/oracle mismatch: " ^ String.concat ", " (List.rev fs)))
-
-let kern_cmd =
-  let doc =
-    "Self-check the Bcc_kern kernels against their naive reference oracles"
-  in
-  Cmd.v (Cmd.info "kern" ~doc)
-    Term.(term_result (const run_kern_check $ seed_arg))
-
 (* ----------------------------------------------------------------- prof *)
 
 (* Run one experiment id or Runner protocol under the profiler, print the
@@ -463,6 +323,32 @@ let lint_cmd =
 
 (* ---------------------------------------------------------------- main *)
 
+(* The environment knobs, checked before any command runs so that a
+   malformed value is a usage error rather than an uncaught exception
+   deep inside an experiment, or a silent clamp.  Unset or empty means
+   the default; each accepts exactly what its reader in lib/ accepts. *)
+let knob_error name ~range valid =
+  match Sys.getenv_opt name with
+  | None | Some "" -> None
+  | Some s when valid s -> None
+  | Some s -> Some (Printf.sprintf "bcc_cli: %s must be an integer %s, got %S" name range s)
+
+let () =
+  let in_range lo hi s =
+    match int_of_string_opt s with Some v -> lo <= v && v <= hi | None -> false
+  in
+  [
+    knob_error "BCC_DOMAINS" ~range:"in 1..64" (fun s ->
+        in_range 1 64 (String.trim s));
+    knob_error "BCC_E31_N" ~range:">= 4096" (in_range 4096 max_int);
+  ]
+  |> List.iter
+       (Option.iter (fun msg ->
+            prerr_endline msg;
+            exit Cmd.Exit.cli_error))
+
+let cmds = [ run_cmd; trace_cmd; metrics_cmd; prof_cmd; lint_cmd ]
+
 let cmd =
   let doc = "Reproduce the experiments for Chen-Grossman PODC'19 (Broadcast Congested Clique)" in
   let envs =
@@ -470,14 +356,17 @@ let cmd =
       Cmd.Env.info "BCC_DOMAINS"
         ~doc:
           "Number of domains (cores) used by the parallel Monte-Carlo trial \
-           loops; experiment tables are byte-identical for every value \
-           (defaults to the machine's recommended domain count, capped at 8; \
-           see docs/PARALLELISM.md).";
+           loops, 1 to 64; experiment tables are byte-identical for every \
+           value (defaults to the machine's recommended domain count, capped \
+           at 8; see docs/PARALLELISM.md).";
+      Cmd.Env.info "BCC_E31_N"
+        ~doc:
+          "Vertex count for e31, at least 4096 (defaults to 10^6, which needs \
+           ~16 GB).";
     ]
   in
   let info = Cmd.info "bcc_cli" ~doc ~envs in
-  Cmd.group ~default:run_term info
-    [ run_cmd; trace_cmd; metrics_cmd; kern_cmd; prof_cmd; lint_cmd ]
+  Cmd.group ~default:run_term info cmds
 
 (* Keep `bcc_cli e1 e2` working: a leading positional that is not a
    subcommand name is an experiment id for the default `run` command. *)
@@ -485,7 +374,7 @@ let argv =
   let argv = Sys.argv in
   if
     Array.length argv > 1
-    && (not (List.mem argv.(1) [ "run"; "trace"; "metrics"; "kern"; "prof"; "lint" ]))
+    && (not (List.mem argv.(1) (List.map Cmd.name cmds)))
     && String.length argv.(1) > 0
     && argv.(1).[0] <> '-'
   then Array.concat [ [| argv.(0); "run" |]; Array.sub argv 1 (Array.length argv - 1) ]

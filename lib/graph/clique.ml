@@ -7,8 +7,8 @@ let is_clique g vs = Digraph.is_bidirectional_clique g vs
 
 (* Bron-Kerbosch with pivoting on bitset neighborhoods, running on
    Bcc_kern.Graph's scratch stack (per-depth buffers, no allocation per
-   node); same traversal and result as the allocating Bcc_kern.Ref
-   version it is property-tested against. *)
+   node); same traversal and result as the allocating oracle version
+   (test/oracle) it is property-tested against. *)
 let max_clique_core adj vertices = Bcc_kern.Graph.max_clique adj vertices
 
 let max_clique g =

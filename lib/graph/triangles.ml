@@ -5,7 +5,7 @@ let choose3 n = foi (n * (n - 1) * (n - 2)) /. 6.0
 (* Each triangle (K4) is counted once as i < j < l (< m): the suffix
    constraint and the neighborhood intersections run as fused word counts
    in Bcc_kern.Graph — no allocation in the inner loops, same counts as
-   the mask-materializing Bcc_kern.Ref versions. *)
+   the mask-materializing oracle versions in test/oracle. *)
 let count g = Bcc_kern.Graph.count_triangles (Clique.bidirectional_core g)
 
 let count_k4 g = Bcc_kern.Graph.count_k4 (Clique.bidirectional_core g)

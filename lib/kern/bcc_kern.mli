@@ -11,9 +11,10 @@
     unboxed, so the kernel inner loops run without minor-heap allocation
     or GC write barriers (an [int64 array] boxes every store).
 
-    {!Ref} keeps the naive implementations as reference oracles: every
-    kernel is property-tested against its oracle (test/test_kern.ml) and
-    benchmarked against it (`bench kern`, docs/PERFORMANCE.md).
+    The naive implementations live outside the library, in test/oracle,
+    as reference oracles: every kernel is property-tested against its
+    oracle (test/test_kern.ml) and benchmarked against it (`bench kern`,
+    docs/PERFORMANCE.md).
 
     All kernels are deterministic; the only parallel path ({!Wht} on
     tables >= [par_threshold]) partitions elementwise-disjoint butterfly
@@ -136,7 +137,7 @@ end
     A directed graph is its adjacency rows ([rows.(i)] bit [j] iff edge
     [i -> j], diagonal zero) — the representation [Digraph] stores and the
     BCAST processors receive.  Every function is observationally identical
-    to the per-bit implementation it replaced (kept in {!Ref}); only the
+    to the per-bit implementation it replaced (kept in test/oracle); only the
     word-level execution differs. *)
 module Graph : sig
   val bidirectional_core : Bitvec.t array -> Bitvec.t array
@@ -151,7 +152,7 @@ module Graph : sig
       support-word lists bounding every scan and exact prunings
       (degree-bounded pivot scoring, early stop at a full score,
       branch-and-bound on [|R| + |P|]) that cannot change which clique is
-      returned.  Same result as {!Ref.max_clique}, bit for bit. *)
+      returned.  Same result as the oracle's [max_clique], bit for bit. *)
 
   val count_triangles : Bitvec.t array -> int
   (** Triangles of an undirected adjacency (each counted once, [i < j < l])
@@ -304,54 +305,4 @@ module Wht : sig
   val inplace_f64 : Buf.f64 -> unit
   (** {!inplace_float} on a {!Buf.f64} buffer — same blocking, same
       bit-identical results, zero allocation (test_prof.ml pins this). *)
-end
-
-(** Naive reference oracles (the pre-kernel implementations). *)
-module Ref : sig
-  val popcount_swar : int64 -> int
-  (** SWAR popcount — oracle for the 16-bit-table [Bitvec.popcount]. *)
-
-  val rank_rows : Bitvec.t array -> int
-  (** Full Gauss-Jordan on Bitvec rows with per-bit pivot probing — the
-      pre-kernel [Gf2_matrix.rank]. *)
-
-  val rank_bools : bool array array -> int
-  (** Scalar elimination over bools — the fully naive rank. *)
-
-  val mul_rows : Bitvec.t array -> Bitvec.t array -> cols:int -> Bitvec.t array
-  (** Row-at-a-time xor-accumulate product — the pre-M4RM
-      [Gf2_matrix.mul]; [cols] is the column count of [b]. *)
-
-  val transpose_rows : Bitvec.t array -> cols:int -> Bitvec.t array
-  (** Per-bit transpose. *)
-
-  val wht : float array -> float array
-  (** Direct O(4^n) transform. *)
-
-  val wht_butterfly : float array -> unit
-  (** Plain in-place doubling butterfly — the pre-kernel
-      [Fourier.wht_inplace]. *)
-
-  val count_true : n:int -> (int -> bool) -> int
-  val count_forced_ones : n:int -> mask:int -> (int -> bool) -> int
-  val count_flips : n:int -> i:int -> (int -> bool) -> int
-  val count_above : float array -> threshold:float -> int
-
-  (** {2 Graph oracles} — the pre-{!Graph} implementations. *)
-
-  val popcount_and2 : Bitvec.t -> Bitvec.t -> int
-  val popcount_and3 : Bitvec.t -> Bitvec.t -> Bitvec.t -> int
-  val popcount_and2_above : Bitvec.t -> Bitvec.t -> above:int -> int
-  (** Materializing oracles for the fused [Bitvec] popcounts. *)
-
-  val bidirectional_core : Bitvec.t array -> Bitvec.t array
-  (** Per-bit [A land A^T] with a closure per entry. *)
-
-  val max_clique : Bitvec.t array -> Bitvec.t -> int list
-  (** The allocating Bron-Kerbosch (fresh vectors per node). *)
-
-  val count_triangles : Bitvec.t array -> int
-  val count_k4 : Bitvec.t array -> int
-  (** Triangle/K4 counts with fresh intersection vectors and a fresh
-      suffix mask per inner iteration. *)
 end

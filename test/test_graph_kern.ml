@@ -28,7 +28,7 @@ let test_popcount_and2_vs_materialized () =
         let a = random_bitvec g n and b = random_bitvec g n in
         check_int
           (Printf.sprintf "and2 n=%d" n)
-          (Bcc_kern.Ref.popcount_and2 a b)
+          (Oracle.popcount_and2 a b)
           (Bitvec.popcount_and2 a b)
       done)
     boundary_sizes
@@ -43,7 +43,7 @@ let test_popcount_and3_vs_materialized () =
         and c = random_bitvec g n in
         check_int
           (Printf.sprintf "and3 n=%d" n)
-          (Bcc_kern.Ref.popcount_and3 a b c)
+          (Oracle.popcount_and3 a b c)
           (Bitvec.popcount_and3 a b c)
       done)
     boundary_sizes
@@ -57,7 +57,7 @@ let test_popcount_and2_above_vs_masked () =
       for above = 0 to n - 1 do
         check_int
           (Printf.sprintf "above n=%d j=%d" n above)
-          (Bcc_kern.Ref.popcount_and2_above a b ~above)
+          (Oracle.popcount_and2_above a b ~above)
           (Bitvec.popcount_and2_above a b ~above)
       done)
     boundary_sizes
@@ -102,10 +102,17 @@ let test_unsafe_set_bit_matches_set () =
 
 (* -------------------------------------------------------- graph kernels *)
 
-let core_pair g n =
-  let graph = Planted.sample_rand g n in
+let core_of graph =
   let rows = Digraph.unsafe_rows graph in
-  (Bcc_kern.Graph.bidirectional_core rows, Bcc_kern.Ref.bidirectional_core rows)
+  (Bcc_kern.Graph.bidirectional_core rows, Oracle.bidirectional_core rows)
+
+let core_pair g n = core_of (Planted.sample_rand g n)
+
+(* Planted instances with a small clique, k = max 4 (n/6), beside the
+   random ones. *)
+let small_plants = [ (63, 10); (64, 10); (96, 16) ]
+
+let planted_core_pair g (n, k) = core_of (fst (Planted.sample_planted g ~n ~k))
 
 let test_bidirectional_core_vs_ref () =
   let g = Prng.create 201 in
@@ -116,7 +123,15 @@ let test_bidirectional_core_vs_ref () =
         (Printf.sprintf "core n=%d" n)
         true
         (Array.for_all2 Bitvec.equal kern oracle))
-    boundary_sizes
+    boundary_sizes;
+  List.iter
+    (fun (n, k) ->
+      let kern, oracle = planted_core_pair g (n, k) in
+      check_bool
+        (Printf.sprintf "planted core n=%d k=%d" n k)
+        true
+        (Array.for_all2 Bitvec.equal kern oracle))
+    small_plants
 
 let test_core_matches_has_edge_closure () =
   (* The original definition, spelled out: bit j of row i iff i <> j and
@@ -136,18 +151,21 @@ let test_core_matches_has_edge_closure () =
 
 let test_counts_vs_ref () =
   let g = Prng.create 203 in
+  let check label (kern, oracle) =
+    check_int
+      (Printf.sprintf "triangles %s" label)
+      (Oracle.count_triangles oracle)
+      (Bcc_kern.Graph.count_triangles kern);
+    check_int
+      (Printf.sprintf "k4 %s" label)
+      (Oracle.count_k4 oracle)
+      (Bcc_kern.Graph.count_k4 kern)
+  in
+  List.iter (fun n -> check (Printf.sprintf "n=%d" n) (core_pair g n)) boundary_sizes;
   List.iter
-    (fun n ->
-      let kern, oracle = core_pair g n in
-      check_int
-        (Printf.sprintf "triangles n=%d" n)
-        (Bcc_kern.Ref.count_triangles oracle)
-        (Bcc_kern.Graph.count_triangles kern);
-      check_int
-        (Printf.sprintf "k4 n=%d" n)
-        (Bcc_kern.Ref.count_k4 oracle)
-        (Bcc_kern.Graph.count_k4 kern))
-    boundary_sizes
+    (fun (n, k) ->
+      check (Printf.sprintf "planted n=%d k=%d" n k) (planted_core_pair g (n, k)))
+    small_plants
 
 let test_counts_on_complete_graph () =
   (* K_n has C(n,3) triangles and C(n,4) K4s — exact closed forms. *)
@@ -176,7 +194,7 @@ let test_max_clique_vs_ref_random () =
         true
         (List.equal Int.equal
            (Bcc_kern.Graph.max_clique kern everyone)
-           (Bcc_kern.Ref.max_clique oracle everyone)))
+           (Oracle.max_clique oracle everyone)))
     boundary_sizes
 
 let test_max_clique_vs_ref_planted () =
@@ -190,7 +208,7 @@ let test_max_clique_vs_ref_planted () =
       check_bool
         (Printf.sprintf "planted n=%d k=%d" n k)
         true
-        (List.equal Int.equal got (Bcc_kern.Ref.max_clique core everyone));
+        (List.equal Int.equal got (Oracle.max_clique core everyone));
       (* With k well above the ~2 log_2 n natural clique size, the planted
          clique is the maximum. *)
       if k >= 20 then
@@ -198,7 +216,7 @@ let test_max_clique_vs_ref_planted () =
           (Printf.sprintf "recovers plant n=%d k=%d" n k)
           true
           (List.equal Int.equal got clique))
-    [ (63, 12); (64, 20); (65, 20); (96, 24); (128, 28) ]
+    ([ (63, 12); (64, 20); (65, 20); (96, 24); (128, 28) ] @ small_plants)
 
 let test_max_clique_of_subset_vs_ref () =
   let g = Prng.create 207 in
@@ -215,7 +233,7 @@ let test_max_clique_of_subset_vs_ref () =
       true
       (List.equal Int.equal
          (Clique.max_clique_of_subset graph vs)
-         (Bcc_kern.Ref.max_clique restricted mask))
+         (Oracle.max_clique restricted mask))
   done
 
 (* ------------------------------------------------------------- samplers *)

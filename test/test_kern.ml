@@ -1,6 +1,7 @@
 (* Property tests for the packed bit-sliced kernels (Bcc_kern): every
-   kernel against its naive Ref oracle, plus the determinism contract for
-   the domain-parallel WHT path and the experiment artifacts. *)
+   kernel against its naive oracle (test/oracle), plus the determinism
+   contract for the domain-parallel WHT path and the experiment
+   artifacts. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -19,10 +20,10 @@ let test_popcount_lut_vs_swar () =
   let g = Prng.create 11 in
   for _ = 1 to 2000 do
     let w = Prng.bits64 g in
-    check_int "word" (Bcc_kern.Ref.popcount_swar w) (Bitvec.popcount_word w)
+    check_int "word" (Oracle.popcount_swar w) (Bitvec.popcount_word w)
   done;
   List.iter
-    (fun w -> check_int "edge" (Bcc_kern.Ref.popcount_swar w) (Bitvec.popcount_word w))
+    (fun w -> check_int "edge" (Oracle.popcount_swar w) (Bitvec.popcount_word w))
     [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x8000000000000001L ]
 
 let test_popcount_int () =
@@ -63,7 +64,7 @@ let test_transpose_vs_ref () =
       let m = random_matrix g ~rows ~cols in
       let t = Gf2_matrix.transpose m in
       let expect =
-        Bcc_kern.Ref.transpose_rows (Array.init rows (Gf2_matrix.row m)) ~cols
+        Oracle.transpose_rows (Array.init rows (Gf2_matrix.row m)) ~cols
       in
       check_bool
         (Printf.sprintf "transpose %dx%d" rows cols)
@@ -80,8 +81,8 @@ let ranks_agree name m =
         Array.init (Gf2_matrix.cols m) (fun j -> Gf2_matrix.get m i j))
   in
   let kern = Gf2_matrix.rank m in
-  check_int (name ^ " vs gauss-jordan") (Bcc_kern.Ref.rank_rows rows) kern;
-  check_int (name ^ " vs scalar") (Bcc_kern.Ref.rank_bools bools) kern;
+  check_int (name ^ " vs gauss-jordan") (Oracle.rank_rows rows) kern;
+  check_int (name ^ " vs scalar") (Oracle.rank_bools bools) kern;
   kern
 
 let test_rank_random () =
@@ -90,7 +91,8 @@ let test_rank_random () =
     (fun (rows, cols) ->
       ignore (ranks_agree (Printf.sprintf "random %dx%d" rows cols)
                 (random_matrix g ~rows ~cols)))
-    [ (1, 1); (5, 9); (48, 48); (64, 64); (100, 70); (70, 130); (129, 129) ]
+    [ (1, 1); (5, 9); (48, 48); (64, 64); (100, 70); (70, 130); (129, 129);
+      (33, 33); (100, 100) ]
 
 let test_rank_identity () =
   List.iter
@@ -119,7 +121,7 @@ let test_mul_vs_ref () =
       let a = random_matrix g ~rows:r ~cols:k in
       let b = random_matrix g ~rows:k ~cols:c in
       let expect =
-        Bcc_kern.Ref.mul_rows
+        Oracle.mul_rows
           (Array.init r (Gf2_matrix.row a))
           (Array.init k (Gf2_matrix.row b))
           ~cols:c
@@ -163,7 +165,7 @@ let test_enum_counts_vs_per_input () =
       let eval = Boolfun.eval_int f in
       check_int
         (Printf.sprintf "count n=%d" n)
-        (Bcc_kern.Ref.count_true ~n eval)
+        (Oracle.count_true ~n eval)
         (Bcc_kern.Enum.count t);
       for x = 0 to (1 lsl n) - 1 do
         check_bool "get" (eval x) (Bcc_kern.Enum.get t x)
@@ -171,7 +173,7 @@ let test_enum_counts_vs_per_input () =
       for i = 0 to n - 1 do
         check_int
           (Printf.sprintf "flips n=%d i=%d" n i)
-          (Bcc_kern.Ref.count_flips ~n ~i eval)
+          (Oracle.count_flips ~n ~i eval)
           (Bcc_kern.Enum.count_flips t ~i)
       done;
       List.iter
@@ -179,10 +181,10 @@ let test_enum_counts_vs_per_input () =
           let mask = mask land ((1 lsl n) - 1) in
           check_int
             (Printf.sprintf "forced n=%d mask=%d" n mask)
-            (Bcc_kern.Ref.count_forced_ones ~n ~mask eval)
+            (Oracle.count_forced_ones ~n ~mask eval)
             (Bcc_kern.Enum.count_forced_ones t ~mask))
         [ 0; 1; 0x21; 0x41; 0x181; 0x2a5; (1 lsl n) - 1 ])
-    [ 1; 3; 6; 7; 9; 11 ]
+    [ 1; 3; 6; 7; 9; 11; 10 ]
 
 let test_iter_gray_covers_cube () =
   List.iter
@@ -204,7 +206,7 @@ let test_count_above_strict () =
   List.iter
     (fun threshold ->
       check_int "vs scalar"
-        (Bcc_kern.Ref.count_above stats ~threshold)
+        (Oracle.count_above stats ~threshold)
         (Bcc_kern.Enum.count_above stats ~threshold))
     [ -1.0; 0.0; 0.25; 0.5; 0.999; 1.0 ];
   (* Strictly above: a value equal to the threshold is not a hit. *)
@@ -222,9 +224,9 @@ let test_wht_blocked_vs_naive () =
     let blocked = Array.copy a in
     Fourier.wht_inplace blocked;
     let butterfly = Array.copy a in
-    Bcc_kern.Ref.wht_butterfly butterfly;
+    Oracle.wht_butterfly butterfly;
     check_bool (Printf.sprintf "vs butterfly n=%d" n) true (blocked = butterfly);
-    check_bool (Printf.sprintf "vs direct n=%d" n) true (blocked = Bcc_kern.Ref.wht a)
+    check_bool (Printf.sprintf "vs direct n=%d" n) true (blocked = Oracle.wht a)
   done
 
 let test_wht_int_matches_float () =
@@ -243,27 +245,24 @@ let test_wht_int_matches_float () =
     [ 1; 64; 4096; 65536 ]
 
 let test_wht_parallel_identical () =
-  (* 2^17 crosses par_threshold: the butterfly stages fan out across the
-     pool; the result must be byte-identical at 1 and 4 domains, and equal
-     to the plain butterfly. *)
-  let len = 1 lsl 17 in
-  let base = random_table (Prng.create 63) len in
-  let seq =
-    with_domains 1 (fun () ->
-        let a = Array.copy base in
-        Fourier.wht_inplace a;
-        a)
-  in
-  let par =
-    with_domains 4 (fun () ->
-        let a = Array.copy base in
-        Fourier.wht_inplace a;
-        a)
-  in
-  check_bool "1 vs 4 domains" true (seq = par);
-  let butterfly = Array.copy base in
-  Bcc_kern.Ref.wht_butterfly butterfly;
-  check_bool "vs butterfly" true (seq = butterfly)
+  (* 2^17 crosses par_threshold and 2^16 sits on it: the butterfly stages
+     fan out across the pool; the result must be byte-identical at 1 and 4
+     domains, and equal to the plain butterfly. *)
+  List.iter
+    (fun logn ->
+      let base = random_table (Prng.create 63) (1 lsl logn) in
+      let transform domains =
+        with_domains domains (fun () ->
+            let a = Array.copy base in
+            Fourier.wht_inplace a;
+            a)
+      in
+      let seq = transform 1 in
+      check_bool (Printf.sprintf "1 vs 4 domains 2^%d" logn) true (seq = transform 4);
+      let butterfly = Array.copy base in
+      Oracle.wht_butterfly butterfly;
+      check_bool (Printf.sprintf "vs butterfly 2^%d" logn) true (seq = butterfly))
+    [ 17; 16 ]
 
 let test_fourier_transform_exact () =
   (* The integer-accumulator transform must reproduce the old float path
@@ -274,7 +273,7 @@ let test_fourier_transform_exact () =
       let f = Boolfun.random g n in
       let old_path =
         let a = Fourier.real_table f in
-        Bcc_kern.Ref.wht_butterfly a;
+        Oracle.wht_butterfly a;
         let scale = 1.0 /. float_of_int (Array.length a) in
         Array.map (fun v -> v *. scale) a
       in
@@ -369,7 +368,7 @@ let test_mul_wide_vs_ref () =
     and c = Gf2_matrix.cols b in
     let ra = Array.init r (Gf2_matrix.row a) in
     let rb = Array.init k (Gf2_matrix.row b) in
-    let expect = Bcc_kern.Ref.mul_rows ra rb ~cols:c in
+    let expect = Oracle.mul_rows ra rb ~cols:c in
     (* mul_wide unconditionally — all these shapes sit far below the
        mul_wide_min_rows cutover, which is the point: the 16-bit tables
        must agree with the oracle everywhere, not just where mul selects

@@ -98,14 +98,23 @@ let test_accessors_vs_dense () =
   done
 
 let test_degree_sums_vs_dense () =
-  let n = 128 in
-  let g = Prng.create 8 in
-  let dg = Gnp.sample_fast g ~n ~p:0.07 in
-  let sg = Sparse.of_digraph dg in
-  let want =
-    Array.init n (fun i -> Digraph.out_degree dg i + Digraph.in_degree dg i)
+  let dense_sums dg =
+    Array.init (Digraph.vertex_count dg) (fun i ->
+        Digraph.out_degree dg i + Digraph.in_degree dg i)
   in
-  check_bool "degree_sums" true (want = Sparse.degree_sums sg)
+  let dg = Gnp.sample_fast (Prng.create 8) ~n:128 ~p:0.07 in
+  check_bool "degree_sums" true (dense_sums dg = Sparse.degree_sums (Sparse.of_digraph dg));
+  (* The CSR sampler's own output, against the dense sampler's graph
+     from the same seed. *)
+  List.iter
+    (fun (n, p) ->
+      let dg = Gnp.sample_fast (Prng.create 9) ~n ~p in
+      let sg = Sparse.sample_gnp (Prng.create 9) ~n ~p in
+      check_bool
+        (Printf.sprintf "sampled degree_sums n=%d p=%g" n p)
+        true
+        (dense_sums dg = Sparse.degree_sums sg))
+    [ (128, 0.1); (256, 0.05); (512, 0.02) ]
 
 (* [make]'s verdict: [None] when it accepts, else its message. *)
 let make_verdict ~n ~row_ptr ~cols =
@@ -284,6 +293,7 @@ let test_sample_gnp_stream_identity () =
           (* ~1.26 x 10^6 pairs: above the 2^20-pair switch to the
              bucketed CSR build. *)
           (4096, 0.15);
+          (256, 0.05); (512, 0.02);
         ])
     [ 1; 2; 42 ]
 
@@ -724,7 +734,7 @@ let test_kernels_vs_dense () =
         (Printf.sprintf "%s k4" label)
         (Bcc_kern.Graph.count_k4 dcore)
         (Bcc_kern.Spgraph.count_k4 score))
-    [ (64, 0.3, 1); (128, 0.15, 2); (256, 0.05, 3); (512, 0.02, 42) ]
+    [ (64, 0.3, 1); (128, 0.15, 2); (256, 0.05, 3); (512, 0.02, 42); (128, 0.1, 5) ]
 
 let test_core_on_asymmetric_input () =
   (* bidirectional_core's job is dropping one-way edges; the samplers
