@@ -132,6 +132,45 @@ let test_print_renders () =
      in
      contains 0)
 
+(* Cross-commit pins for the experiments that run [Clique.Recover]: the
+   [Digest] hex of each EXP envelope as `bcc_cli run` writes it at the
+   default seed, with the [git] field dropped (it names the producing
+   checkout, and is the only field that does) — the md5 of EXP_<id>.json
+   without its "git" line and final newline.  A change to sampling,
+   recovery or a table's rendering fails here even when every in-run
+   oracle moves with it.  e31 runs at BCC_E31_N = 4096. *)
+let with_env name value f =
+  let old = Sys.getenv_opt name in
+  Unix.putenv name value;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv name (Option.value old ~default:""))
+    f
+
+let envelope_digest t =
+  match Experiments.artifact ~seed:42 t with
+  | Artifact.Obj fields ->
+      Artifact.Obj (List.remove_assoc "git" fields)
+      |> Artifact.to_string ~pretty:true
+      |> Digest.string |> Digest.to_hex
+  | _ -> Alcotest.fail "envelope is not an object"
+
+let golden_exp =
+  [
+    ("e25", "ee723bd881d69293713530903adf7aba");
+    ("e30", "c7b8bdf32903e5a62e4e2bb8555b7d10");
+    ("e31", "39b4074bb72ff30217487de37d3630ba");
+  ]
+
+let test_golden_exp_digests () =
+  let fresh (id, _) =
+    match Experiments.by_id id with
+    | None -> Alcotest.failf "no experiment %s" id
+    | Some f -> (id, envelope_digest (with_env "BCC_E31_N" "4096" (f ~seed:42)))
+  in
+  Alcotest.(check (list (pair string string)))
+    "EXP envelope digest per experiment" golden_exp
+    (List.map fresh golden_exp)
+
 let () =
   Alcotest.run "experiments"
     [
@@ -149,5 +188,10 @@ let () =
           Alcotest.test_case "E28 exact verdicts" `Slow test_e28_holds;
           Alcotest.test_case "E29 monotone" `Quick test_e29_monotone;
           Alcotest.test_case "printer" `Quick test_print_renders;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "EXP envelope digests" `Quick
+            test_golden_exp_digests;
         ] );
     ]

@@ -272,6 +272,46 @@ let test_subset_uses_scalar_stream () =
   done;
   check_bool "same end state" true (Int64.equal (Prng.bits64 a) (Prng.bits64 b))
 
+(* Known-answer vectors: fixed-seed outputs recorded once and pinned, so
+   a change to the generator, its seeding, [split] or a fill loop fails
+   here even though every in-run comparison above (block vs scalar,
+   copy vs original) would move with it. *)
+let hex_words ws = List.map (Printf.sprintf "%016Lx") ws
+let first_words g = List.init 4 (fun _ -> Prng.bits64 g)
+
+let test_known_answer_bits64 () =
+  let check_words label want g =
+    Alcotest.(check (list string)) label want (hex_words (first_words g))
+  in
+  let root = Prng.create 42 in
+  check_words "create 42"
+    [ "d0764d4f4476689f"; "519e4174576f3791"; "fbe07cfb0c24ed8c"; "b37d9f600cd835b8" ]
+    (Prng.copy root);
+  check_words "split 42 0"
+    [ "c21dc9816894d6d4"; "fad9d65bfbe38a94"; "f846905bd5ba994a"; "987980f881512f3e" ]
+    (Prng.split root 0);
+  check_words "split 42 1"
+    [ "ecb7681aa0e5f4e9"; "ade6a89aaaf76ee4"; "f212dd5a4dedbc9d"; "2766406d804c1e49" ]
+    (Prng.split root 1)
+
+let test_known_answer_fills () =
+  let len = 6 in
+  let i64 = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout len in
+  Prng.Block.fill_bits64 (Prng.create 7) i64 ~pos:0 ~len;
+  Alcotest.(check (list string))
+    "fill_bits64 seed 7"
+    [ "0e2c1a002aae913d"; "2c0fc8ddfa4e9e14"; "b7b311b3b0d45872";
+      "6d5d9f6a6318013c"; "f6b263f2f5790376"; "77385b627c22c489" ]
+    (hex_words (List.init len (Bigarray.Array1.get i64)));
+  let ints = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
+  Prng.Block.fill_geometric (Prng.create 7)
+    ~log1mp:(Float.log (1.0 -. 0.01))
+    ~cap:(float_of_int (1 lsl 20))
+    ints ~pos:0 ~len;
+  Alcotest.(check (list int))
+    "fill_geometric seed 7 p=0.01" [ 5; 18; 125; 55; 329; 62 ]
+    (List.init len (Bigarray.Array1.get ints))
+
 let prop_int_in_bounds =
   QCheck.Test.make ~name:"int always within bound" ~count:500
     QCheck.(pair (int_range 1 1000) small_int)
@@ -324,6 +364,12 @@ let () =
           Alcotest.test_case "fills allocate nothing" `Quick test_fill_no_alloc;
           Alcotest.test_case "subset stream identity" `Quick
             test_subset_uses_scalar_stream;
+        ] );
+      ( "known answers",
+        [
+          Alcotest.test_case "bits64 and split children" `Quick
+            test_known_answer_bits64;
+          Alcotest.test_case "block fills" `Quick test_known_answer_fills;
         ] );
       ( "properties",
         List.map (fun t -> QCheck_alcotest.to_alcotest t)
