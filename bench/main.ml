@@ -1087,6 +1087,13 @@ let usage () =
   exit 2
 
 let () =
+  (* A malformed BCC_DOMAINS is a usage error like an unknown flag: one
+     stderr line and exit 2 before any section runs. *)
+  (match Par.env_domains () with
+  | _ -> ()
+  | exception Invalid_argument msg ->
+      prerr_endline ("main.exe: " ^ msg);
+      exit 2);
   let args = List.tl (Array.to_list Sys.argv) in
   let named, rest = List.partition (fun a -> List.mem a flags) args in
   let quick = List.mem "--quick" named in

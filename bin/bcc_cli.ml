@@ -325,26 +325,26 @@ let lint_cmd =
 
 (* The environment knobs, checked before any command runs so that a
    malformed value is a usage error rather than an uncaught exception
-   deep inside an experiment, or a silent clamp.  Unset or empty means
-   the default; each accepts exactly what its reader in lib/ accepts. *)
+   deep inside an experiment.  Unset or empty means the default; each
+   accepts exactly what its reader in lib/ accepts ([Par.env_domains]
+   reads BCC_DOMAINS, and its message names the range). *)
 let knob_error name ~range valid =
   match Sys.getenv_opt name with
   | None | Some "" -> None
   | Some s when valid s -> None
-  | Some s -> Some (Printf.sprintf "bcc_cli: %s must be an integer %s, got %S" name range s)
+  | Some s -> Some (Printf.sprintf "%s must be an integer %s, got %S" name range s)
 
 let () =
-  let in_range lo hi s =
-    match int_of_string_opt s with Some v -> lo <= v && v <= hi | None -> false
-  in
   [
-    knob_error "BCC_DOMAINS" ~range:"in 1..64" (fun s ->
-        in_range 1 64 (String.trim s));
-    knob_error "BCC_E31_N" ~range:">= 4096" (in_range 4096 max_int);
+    (match Par.env_domains () with
+    | _ -> None
+    | exception Invalid_argument msg -> Some msg);
+    knob_error "BCC_E31_N" ~range:">= 4096" (fun s ->
+        match int_of_string_opt s with Some v -> v >= 4096 | None -> false);
   ]
   |> List.iter
        (Option.iter (fun msg ->
-            prerr_endline msg;
+            prerr_endline ("bcc_cli: " ^ msg);
             exit Cmd.Exit.cli_error))
 
 let cmds = [ run_cmd; trace_cmd; metrics_cmd; prof_cmd; lint_cmd ]

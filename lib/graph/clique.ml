@@ -40,12 +40,13 @@ let greedy_clique g graph =
 
 (* The degree-based recovery pipeline, over either representation.  The
    dense instantiation below reproduces the pre-functor implementations
-   exactly: [top_degree_vertices] sorts the same (degree, vertex) array
-   with the same comparator, and [extend_by_majority]'s scan counts —
-   one increment per core occurrence of [v] plus one per bidirectional
-   (core, v) edge pair — equal the per-vertex fold
-   [#{u in core : u = v or (v <-> u)}] it replaces, so the selected
-   vertex sets (and every EXP artifact built on them) are unchanged. *)
+   exactly: [top_degree_vertices] selects the vertices the heapsort of
+   the same (degree, vertex) array with the same comparator puts first,
+   and [extend_by_majority]'s scan counts — one increment per core
+   occurrence of [v] plus one per bidirectional (core, v) edge pair —
+   equal the per-vertex fold [#{u in core : u = v or (v <-> u)}] it
+   replaces, so the selected vertex sets (and every EXP artifact built
+   on them) are unchanged. *)
 module Recover (B : Graph_backend.S) = struct
   let extend_by_majority g ~core ~threshold =
     let n = B.vertex_count g in
@@ -59,11 +60,9 @@ module Recover (B : Graph_backend.S) = struct
           if u < 0 || u >= n then invalid_arg "Clique: core vertex out of range";
           (* The [u = v] membership term of the fold. *)
           counts.(u) <- counts.(u) + 1;
-          (* The bidirectional-adjacency term: u -> v here, v -> u
-             checked per neighbour.  Rows have no diagonal, so the two
-             terms never double-count. *)
-          B.iter_out g u (fun v ->
-              if B.has_edge g v u then counts.(v) <- counts.(v) + 1))
+          (* The bidirectional-adjacency term.  Rows have no diagonal,
+             so the two terms never double-count. *)
+          B.iter_mutual g u (fun v -> counts.(v) <- counts.(v) + 1))
         core;
       let result = ref [] in
       for v = n - 1 downto 0 do
@@ -72,12 +71,44 @@ module Recover (B : Graph_backend.S) = struct
       !result
     end
 
+  (* The k-th largest degree d comes from a degree histogram.  When
+     exactly k vertices have degree >= d, they are the first k of any
+     descending sort, and one scan returns them.  Only when ties at d
+     straddle the k-th place does the order among equal degrees decide;
+     then the heapsort that defines the selection runs ([Array.sort] of
+     the (degree, vertex) array by descending degree, kept verbatim as
+     test/oracle's [top_degree_vertices]), so the two paths agree on
+     every input. *)
   let top_degree_vertices g k =
     let n = B.vertex_count g in
     let ds = B.degree_sums g in
-    let degs = Array.init n (fun i -> (ds.(i), i)) in
-    Array.sort (fun (a, _) (b, _) -> Int.compare b a) degs;
-    List.sort Int.compare (Array.to_list (Array.map snd (Array.sub degs 0 (min k n))))
+    if k < 0 then invalid_arg "Clique.top_degree_vertices: negative k";
+    let k = min k n in
+    if k = 0 then []
+    else begin
+      let hist = Array.make (Array.fold_left max 0 ds + 1) 0 in
+      Array.iter (fun d -> hist.(d) <- hist.(d) + 1) ds;
+      (* Walk down from the largest degree until [at_least] =
+         #{v : degree v >= d} reaches k. *)
+      let d = ref (Array.length hist - 1) in
+      let at_least = ref hist.(!d) in
+      while !at_least < k do
+        decr d;
+        at_least := !at_least + hist.(!d)
+      done;
+      if !at_least = k then begin
+        let top = ref [] in
+        for v = n - 1 downto 0 do
+          if ds.(v) >= !d then top := v :: !top
+        done;
+        !top
+      end
+      else begin
+        let degs = Array.init n (fun i -> (ds.(i), i)) in
+        Array.sort (fun (a, _) (b, _) -> Int.compare b a) degs;
+        List.sort Int.compare (Array.to_list (Array.map snd (Array.sub degs 0 k)))
+      end
+    end
 
   let degree_recover g ~k =
     (* The refinement can oscillate on signal-free instances; cap the

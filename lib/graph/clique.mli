@@ -41,7 +41,11 @@ module Recover (B : Graph_backend.S) : sig
       scan over the core rows.  Sorted increasingly. *)
 
   val top_degree_vertices : B.t -> int -> int list
-  (** The [k] vertices of highest total degree (in + out). *)
+  (** The [k] vertices of highest total degree (in + out), sorted
+      increasingly; all of them when [k >= n].  Ties at the [k]-th place
+      are broken as [Array.sort] (a heapsort) orders the array of
+      [(degree, vertex)] pairs by descending degree.  Raises
+      [Invalid_argument] when [k < 0]. *)
 
   val degree_recover : B.t -> k:int -> int list
   (** Kucera's baseline: top-[k] degrees, then majority refinement to a

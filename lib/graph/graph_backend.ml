@@ -5,7 +5,7 @@ module type S = sig
   val edge_count : t -> int
   val has_edge : t -> int -> int -> bool
   val out_degree : t -> int -> int
-  val iter_out : t -> int -> (int -> unit) -> unit
+  val iter_mutual : t -> int -> (int -> unit) -> unit
   val count_common_out_neighbors : t -> int -> int -> int
   val degree_sums : t -> int array
   val count_triangles : t -> int
@@ -19,7 +19,9 @@ module Dense = struct
   let edge_count = Digraph.edge_count
   let has_edge = Digraph.has_edge
   let out_degree = Digraph.out_degree
-  let iter_out = Digraph.iter_out
+  let iter_mutual g u f =
+    Digraph.iter_out g u (fun v -> if Digraph.has_edge g v u then f v)
+
   let count_common_out_neighbors = Digraph.count_common_out_neighbors
 
   let degree_sums g =
@@ -39,7 +41,7 @@ module Sparse_backend = struct
   let edge_count = Sparse.edge_count
   let has_edge = Sparse.has_edge
   let out_degree = Sparse.out_degree
-  let iter_out = Sparse.iter_out
+  let iter_mutual = Sparse.iter_mutual
   let count_common_out_neighbors = Sparse.count_common_out_neighbors
   let degree_sums = Sparse.degree_sums
 

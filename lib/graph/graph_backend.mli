@@ -21,9 +21,9 @@ module type S = sig
   val has_edge : t -> int -> int -> bool
   val out_degree : t -> int -> int
 
-  val iter_out : t -> int -> (int -> unit) -> unit
-  (** Out-neighbours in ascending order; the callback must not mutate
-      the graph. *)
+  val iter_mutual : t -> int -> (int -> unit) -> unit
+  (** [iter_mutual g u f]: [f v] for every [v] with [u -> v] and
+      [v -> u], ascending; the callback must not mutate the graph. *)
 
   val count_common_out_neighbors : t -> int -> int -> int
 
@@ -40,9 +40,12 @@ end
 
 module Dense : S with type t = Digraph.t
 (** The bit-matrix backend: degree sums by row popcount + column scan,
+    mutual neighbours by an out-row scan with a reverse-edge test,
     core/triangles/K4 via the packed {!Bcc_kern.Graph} kernels — the
     exact call path [Clique.bidirectional_core]/[Triangles.count] use. *)
 
 module Sparse_backend : S with type t = Sparse.t
 (** The CSR backend: merge/gallop row ops and the sharded
-    {!Bcc_kern.Spgraph} kernels. *)
+    {!Bcc_kern.Spgraph} kernels.  On a [symmetric] CSR, degree sums and
+    mutual neighbours read the rows alone ({!Sparse.degree_sums},
+    {!Sparse.iter_mutual}). *)

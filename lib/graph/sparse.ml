@@ -8,6 +8,13 @@ let edge_count = Spgraph.edge_count
 let out_degree = Spgraph.degree
 let iter_out = Spgraph.iter_row
 let has_edge = Spgraph.mem
+
+(* On a symmetric CSR every out-neighbour is a mutual one, so the
+   reverse-edge test is skipped. *)
+let iter_mutual t u f =
+  if t.Spgraph.symmetric then Spgraph.iter_row t u f
+  else Spgraph.iter_row t u (fun v -> if Spgraph.mem t v u then f v)
+
 let count_common_out_neighbors = Spgraph.common_count
 
 (* bcc-lint: allow kern/unsafe-index — the fill cursor never passes row_ptr.(n) = Buf.int_length cols: row i writes exactly out_degree g i entries and the offsets are their prefix sums *)
@@ -43,39 +50,44 @@ let stage name f = if Prof.enabled () then Prof.span name f else f ()
    disjoint slots, so the result never depends on the schedule. *)
 let par_for count f = ignore (Par.map_array f (Array.init count Fun.id))
 
-(* Out-degrees come from the offsets; in-degrees are a histogram of the
-   columns.  The entry scan is cut into at most 8 equal slices of at
-   least 2^20 entries — a function of m alone — each counted into its
-   own histogram on the [Par] pool.  Integer counts sum to the same
-   totals in any order, so the result is the sequential scan's at any
-   domain count. *)
+(* Out-degrees come from the offsets.  On a symmetric CSR the in-degree
+   is the out-degree, so the sum is twice the row length.  Otherwise the
+   in-degrees are a histogram of the columns: the entry scan is cut into
+   at most 8 equal slices of at least 2^20 entries — a function of m
+   alone — each counted into its own histogram on the [Par] pool.
+   Integer counts sum to the same totals in any order, so the result is
+   the sequential scan's at any domain count. *)
 (* bcc-lint: allow kern/unsafe-index — check_t proved row_ptr.(n) = Buf.int_length cols and every column in [0, n), so each e < m reads cols in bounds and each histogram index j < n = Buf.int_length h *)
 let degree_sums t =
   Spgraph.check_t t;
   stage "sparse:degree_sums" (fun () ->
       let n = Spgraph.vertex_count t in
       let row_ptr = t.Spgraph.row_ptr and cols = t.Spgraph.cols in
-      let m = row_ptr.(n) in
-      let parts = max 1 (min 8 (m lsr 20)) in
-      let hists =
-        Par.map_array
-          (fun q ->
-            let h = Buf.int_create n in
-            for e = q * m / parts to ((q + 1) * m / parts) - 1 do
-              let j = Buf.int_get cols e in
-              Buf.int_set h j (Buf.int_get h j + 1)
-            done;
-            h)
-          (Array.init parts Fun.id)
-      in
-      let sums = Array.init n (fun i -> row_ptr.(i + 1) - row_ptr.(i)) in
-      Array.iter
-        (fun h ->
-          for i = 0 to n - 1 do
-            sums.(i) <- sums.(i) + Buf.int_get h i
-          done)
-        hists;
-      sums)
+      let out i = row_ptr.(i + 1) - row_ptr.(i) in
+      if t.Spgraph.symmetric then Array.init n (fun i -> 2 * out i)
+      else begin
+        let m = row_ptr.(n) in
+        let parts = max 1 (min 8 (m lsr 20)) in
+        let hists =
+          Par.map_array
+            (fun q ->
+              let h = Buf.int_create n in
+              for e = q * m / parts to ((q + 1) * m / parts) - 1 do
+                let j = Buf.int_get cols e in
+                Buf.int_set h j (Buf.int_get h j + 1)
+              done;
+              h)
+            (Array.init parts Fun.id)
+        in
+        let sums = Array.init n out in
+        Array.iter
+          (fun h ->
+            for i = 0 to n - 1 do
+              sums.(i) <- sums.(i) + Buf.int_get h i
+            done)
+          hists;
+        sums
+      end)
 
 (* Build a CSR from forward pairs (i, j), i < j, given as stream
    segments [(row0, counts, js, m)]: [counts.(r)] pairs for row
@@ -89,7 +101,9 @@ let degree_sums t =
    (u, i) with u increasing, then its larger ones from pairs (i, v) with
    v increasing.  The segments are read in place, so no merged copy of
    the stream ever exists, and every pass is a plain loop over rows
-   with no closure on the per-pair path.
+   with no closure on the per-pair path.  Each pair is written both
+   ways, forward into row i and backward into row j, so the result is
+   symmetric by construction and is built by [Spgraph.make_symmetric].
 
    Two strategies, byte-identical output, switched on the pair count:
    - below 2^20 pairs, a direct counting sort scatters each backward
@@ -172,7 +186,7 @@ let csr_of_segments ~n segs =
         e := !e + counts.(r)
       done
     done;
-    Spgraph.make ~n ~row_ptr ~cols
+    Spgraph.make_symmetric ~n ~row_ptr ~cols
   end
   else begin
     (* Bucket width: the smallest power-of-two row range that keeps the
@@ -307,7 +321,7 @@ let csr_of_segments ~n segs =
           Buf.int_set cols cursor.(j) (w land mask31);
           cursor.(j) <- cursor.(j) + 1
         done);
-    Spgraph.make ~n ~row_ptr ~cols
+    Spgraph.make_symmetric ~n ~row_ptr ~cols
   end
 
 (* CSR twin of [Gnp.sample_fast]: the identical geometric-skip decode —

@@ -22,7 +22,8 @@ type t = Bcc_kern.Spgraph.t
 
 val of_digraph : Digraph.t -> t
 (** Exact CSR of the dense adjacency (rows come out sorted because
-    [Digraph.iter_out] visits ascending). *)
+    [Digraph.iter_out] visits ascending).  Not flagged [symmetric], even
+    when the digraph is. *)
 
 val to_digraph : t -> Digraph.t
 (** Dense twin — the bridge to the dense oracle kernels at small n. *)
@@ -40,17 +41,24 @@ val out_degree : t -> int -> int
 val iter_out : t -> int -> (int -> unit) -> unit
 (** Out-neighbours in ascending order. *)
 
+val iter_mutual : t -> int -> (int -> unit) -> unit
+(** [iter_mutual t u f]: [f v] for every [v] with [u -> v] and [v -> u],
+    ascending.  On a [symmetric] CSR that is the whole row; otherwise
+    each out-neighbour is kept only if its row holds [u]
+    ({!has_edge}). *)
+
 val count_common_out_neighbors : t -> int -> int -> int
 (** [|N(i) ∩ N(j)|] by sorted-merge intersection — the common-neighbor
     distinguisher statistic. *)
 
 val degree_sums : t -> int array
-(** Per-vertex out + in degree: out-degrees from the offsets, in-degrees
+(** Per-vertex out + in degree.  On a [symmetric] CSR (every sampler's
+    output) that is twice the row length, read from the offsets in
+    O(n).  Otherwise out-degrees come from the offsets and in-degrees
     from one O(m) histogram of the columns (dense [in_degree] is an O(n)
-    column scan per vertex).  The column scan is cut into at most 8
-    slices of at least 2^20 entries, counted on the [Par] pool; the
-    counts are exact integers, so the result is the same at any
-    [BCC_DOMAINS]. *)
+    column scan per vertex), cut into at most 8 slices of at least 2^20
+    entries and counted on the [Par] pool; the counts are exact
+    integers, so the result is the same at any [BCC_DOMAINS]. *)
 
 val sample_gnp : ?stream_cap:int -> Prng.t -> n:int -> p:float -> t
 (** G(n, p) straight into CSR, and the sparse-regime null model:

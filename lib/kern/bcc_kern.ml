@@ -759,8 +759,19 @@ module Spgraph = struct
      repeated O(n + m) scans (every [degree_sums] during recovery paid a
      ~10^9-entry walk) into one scan per graph.  The only write is the
      monotone [false -> true] after a full pass, so concurrent readers
-     in sharded kernels are safe. *)
-  type t = { n : int; row_ptr : int array; cols : Buf.ints; mutable checked : bool }
+     in sharded kernels are safe.
+
+     [symmetric] records that every entry (i, j) has its reverse (j, i).
+     Only [make_symmetric] sets it, and nothing checks it: it is the
+     constructing caller's promise, which lets degree recovery skip the
+     in-degree scan and the reverse-edge tests. *)
+  type t = {
+    n : int;
+    row_ptr : int array;
+    cols : Buf.ints;
+    symmetric : bool;
+    mutable checked : bool;
+  }
 
   let vertex_count t = t.n
 
@@ -836,10 +847,13 @@ module Spgraph = struct
       t.checked <- true
     end
 
-  let make ~n ~row_ptr ~cols =
-    let t = { n; row_ptr; cols; checked = false } in
+  let create ~symmetric ~n ~row_ptr ~cols =
+    let t = { n; row_ptr; cols; symmetric; checked = false } in
     check_t t;
     t
+
+  let make = create ~symmetric:false
+  let make_symmetric = create ~symmetric:true
 
   let degree t i =
     check_vertex t i;
@@ -977,7 +991,7 @@ module Spgraph = struct
     ignore (sum_over_rows n fill_range);
     (* Valid by construction (each row is an ascending merge output), but
        let [check_t] certify it on first use like any other instance. *)
-    { n; row_ptr; cols; checked = false }
+    { n; row_ptr; cols; symmetric = false; checked = false }
 
   (* First offset in row i whose column exceeds i — the row's forward
      (upper-triangle) suffix.  On a symmetric graph the forward lists are

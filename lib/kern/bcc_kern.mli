@@ -175,15 +175,32 @@ end
     (test/test_sparse.ml, `bench sparse`; layout and crossover analysis:
     docs/PERFORMANCE.md). *)
 module Spgraph : sig
-  type t = { n : int; row_ptr : int array; cols : Buf.ints; mutable checked : bool }
-  (** [checked] caches a successful {!check_t} pass; the CSR arrays are
-      immutable after construction, so the O(n + m) invariant scan runs
-      once per graph rather than once per kernel call (at n = 10^6 every
-      scan walks ~10^9 entries). *)
+  type t = {
+    n : int;
+    row_ptr : int array;
+    cols : Buf.ints;
+    symmetric : bool;
+    mutable checked : bool;
+  }
+  (** [symmetric] is set only by {!make_symmetric}: every entry (i, j)
+      has its reverse (j, i), so out-degree equals in-degree and every
+      out-neighbour is a mutual one.  [checked] caches a successful
+      {!check_t} pass; the CSR arrays are immutable after construction,
+      so the O(n + m) invariant scan runs once per graph rather than once
+      per kernel call (at n = 10^6 every scan walks ~10^9 entries). *)
 
   val make : n:int -> row_ptr:int array -> cols:Buf.ints -> t
   (** Validating constructor; raises [Invalid_argument] on any broken
-      CSR invariant (see {!check_t}). *)
+      CSR invariant (see {!check_t}).  The result is not flagged
+      [symmetric], whatever its entries. *)
+
+  val make_symmetric : n:int -> row_ptr:int array -> cols:Buf.ints -> t
+  (** {!make} for a CSR the caller has built with every entry (i, j)
+      matched by (j, i), flagged [symmetric].  That obligation is the
+      caller's: {!check_t} does not test it, and a one-way entry makes
+      the degree-recovery shortcuts that trust the flag return wrong
+      results.  Its one caller is [Sparse]'s CSR builder, which writes
+      each sampled pair both ways. *)
 
   val check_t : t -> unit
   (** O(n + m) invariant scan: offsets monotone with the right endpoints,

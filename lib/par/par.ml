@@ -114,9 +114,10 @@ let env_domains () =
   | None | Some "" -> None
   | Some s -> (
       match int_of_string_opt (String.trim s) with
-      | Some v -> Some (clamp 1 64 v)
-      | None ->
-          invalid_arg (Printf.sprintf "BCC_DOMAINS: not an integer: %S" s))
+      | Some v when 1 <= v && v <= 64 -> Some v
+      | _ ->
+          invalid_arg
+            (Printf.sprintf "BCC_DOMAINS must be an integer in 1..64, got %S" s))
 
 let domain_count () =
   match !configured with

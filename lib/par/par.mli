@@ -18,9 +18,10 @@
     {2 Domain count}
 
     The pool size is, in decreasing priority: the value given to
-    {!set_domain_count}; the [BCC_DOMAINS] environment variable;
-    [Domain.recommended_domain_count ()] capped at 8.  Size 1 means no
-    domains are ever spawned and all combinators degrade to plain loops.
+    {!set_domain_count}; the [BCC_DOMAINS] environment variable (see
+    {!env_domains}); [Domain.recommended_domain_count ()] capped at 8.
+    Size 1 means no domains are ever spawned and all combinators degrade
+    to plain loops.
 
     {2 Observability caveats}
 
@@ -33,7 +34,15 @@
     [Bcast.run] does) are fine.  See [docs/PARALLELISM.md]. *)
 
 val domain_count : unit -> int
-(** The pool size currently in effect (see above). *)
+(** The pool size currently in effect (see above).  Raises
+    [Invalid_argument] when it falls to a malformed [BCC_DOMAINS]. *)
+
+val env_domains : unit -> int option
+(** The [BCC_DOMAINS] setting: [None] when unset or empty, else its
+    (trimmed) integer value.  Raises [Invalid_argument], naming the
+    range, when the value is not an integer in 1..64 — never clamps.
+    Front ends call it before any work to turn a bad knob into a usage
+    error. *)
 
 val set_domain_count : int -> unit
 (** Overrides the pool size (clamped to [1, 64]).  An existing pool of a

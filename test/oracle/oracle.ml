@@ -270,3 +270,12 @@ let count_k4 core =
       ni
   done;
   !total
+
+(* The pre-histogram [Clique.Recover.top_degree_vertices], from the
+   degree sums on: heapsort every (degree, vertex) pair by descending
+   degree, keep the first k. *)
+let top_degree_vertices ds k =
+  let n = Array.length ds in
+  let degs = Array.init n (fun i -> (ds.(i), i)) in
+  Array.sort (fun (a, _) (b, _) -> Int.compare b a) degs;
+  List.sort Int.compare (Array.to_list (Array.map snd (Array.sub degs 0 (min k n))))

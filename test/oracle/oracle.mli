@@ -52,3 +52,12 @@ val count_triangles : Bitvec.t array -> int
 val count_k4 : Bitvec.t array -> int
 (** Triangle/K4 counts with fresh intersection vectors and a fresh
     suffix mask per inner iteration. *)
+
+(** {2 Recovery oracles} *)
+
+val top_degree_vertices : int array -> int -> int list
+(** [top_degree_vertices degree_sums k]: the pre-histogram top-[k]
+    selection — [Array.sort] (a heapsort) of every [(degree, vertex)]
+    pair by descending degree, the first [k] kept, sorted by vertex.
+    Its tie-breaking at the [k]-th place is the one
+    [Clique.Recover.top_degree_vertices] reproduces. *)

@@ -99,6 +99,31 @@ let test_domain_count_clamped () =
   with_domains 0 (fun () -> check_int "clamped up" 1 (Par.domain_count ()));
   with_domains 4 (fun () -> check_int "as set" 4 (Par.domain_count ()))
 
+(* The environment knob is never clamped: a value outside 1..64 (or not
+   an integer) raises, naming the range. *)
+let test_env_domains_range () =
+  let old = Sys.getenv_opt "BCC_DOMAINS" in
+  let read v =
+    Unix.putenv "BCC_DOMAINS" v;
+    match Par.env_domains () with
+    | d -> Ok d
+    | exception Invalid_argument msg -> Error msg
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "BCC_DOMAINS" (Option.value old ~default:""))
+    (fun () ->
+      let result = Alcotest.(result (option int) string) in
+      Alcotest.check result "unset" (Ok None) (read "");
+      Alcotest.check result "in range, trimmed" (Ok (Some 7)) (read " 7 ");
+      Alcotest.check result "upper end" (Ok (Some 64)) (read "64");
+      List.iter
+        (fun v ->
+          Alcotest.check result ("rejects " ^ v)
+            (Error
+               (Printf.sprintf "BCC_DOMAINS must be an integer in 1..64, got %S" v))
+            (read v))
+        [ "abc"; "0"; "-3"; "65"; "999" ])
+
 (* ------------------------------------------------ determinism contract *)
 
 (* The tables the ISSUE pins: E5 (distinguisher advantage), E10 (average-
@@ -239,6 +264,8 @@ let () =
             test_nested_calls_sequentialise;
           Alcotest.test_case "domain count clamped" `Quick
             test_domain_count_clamped;
+          Alcotest.test_case "BCC_DOMAINS outside 1..64 raises" `Quick
+            test_env_domains_range;
         ] );
       ( "determinism",
         [

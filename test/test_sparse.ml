@@ -843,6 +843,154 @@ let test_generic_advantage_dense_eq_sparse () =
         true (ad = as_))
     stats_d stats_s
 
+(* ------------------------------------------------- symmetric flag *)
+
+(* Every sampler writes each pair both ways and flags its CSR
+   [symmetric].  Degree recovery trusts the flag to skip the in-degree
+   scan and the reverse-edge tests, so pin the flag and the promise
+   behind it on both sides of the 2^20-pair build switch. *)
+let reverses_present (t : Bcc_kern.Spgraph.t) =
+  let missing = ref 0 in
+  for i = 0 to t.Bcc_kern.Spgraph.n - 1 do
+    Bcc_kern.Spgraph.iter_row t i (fun j ->
+        if not (Bcc_kern.Spgraph.mem t j i) then incr missing)
+  done;
+  !missing = 0
+
+let test_samplers_flag_symmetric () =
+  List.iter
+    (fun (name, n, p, above_switch) ->
+      let t = golden_sample name (Prng.create 5) ~n ~p in
+      let label = Printf.sprintf "%s n=%d p=%g" name n p in
+      check_bool (label ^ " above the 2^20-pair switch") above_switch
+        (Sparse.edge_count t / 2 >= 1 lsl 20);
+      check_bool (label ^ " flagged") true t.Bcc_kern.Spgraph.symmetric;
+      check_bool (label ^ " every reverse present") true (reverses_present t))
+    [
+      ("sample_gnp", 256, 0.1, false);
+      ("sample_gnp", 4096, 0.15, true);
+      ("sample_planted", 256, 0.1, false);
+      ("sample_planted", 4096, 0.15, true);
+      ("sample_gnp_sharded", 512, 0.05, false);
+      ("sample_gnp_sharded", 16384, 0.01, true);
+      ("sample_planted_sharded", 512, 0.05, false);
+      ("sample_planted_sharded", 16384, 0.01, true);
+    ];
+  (* Only the samplers' builder sets the flag: the CSR of a symmetric
+     digraph and a bidirectional core stay unflagged. *)
+  let sg = Sparse.sample_gnp (Prng.create 5) ~n:256 ~p:0.1 in
+  check_bool "of_digraph unflagged" false
+    (Sparse.of_digraph (Sparse.to_digraph sg)).Bcc_kern.Spgraph.symmetric;
+  check_bool "bidirectional_core unflagged" false
+    (Bcc_kern.Spgraph.bidirectional_core sg).Bcc_kern.Spgraph.symmetric
+
+(* A clique planted both ways over random one-way edges. *)
+let one_way_planted ~n ~k seed =
+  let g = Prng.create seed in
+  let dg = Digraph.create n in
+  for _ = 1 to 8 * n do
+    let i = Prng.int g n and j = Prng.int g n in
+    if i <> j then Digraph.add_edge dg i j
+  done;
+  let clique = Prng.subset g ~n ~k in
+  List.iter
+    (fun i -> List.iter (fun j -> if i <> j then Digraph.add_edge dg i j) clique)
+    clique;
+  (dg, List.sort Int.compare clique)
+
+let mutual_row iter g u =
+  let got = ref [] in
+  iter g u (fun v -> got := v :: !got);
+  List.rev !got
+
+(* [of_digraph] of a digraph with one-way edges stays unflagged, so its
+   degree sums and mutual neighbours take the general paths; they and
+   every recovery step must still equal the dense backend's. *)
+let test_one_way_unflagged () =
+  List.iter
+    (fun seed ->
+      let n = 200 and k = 40 in
+      let dg, clique = one_way_planted ~n ~k seed in
+      let sg = Sparse.of_digraph dg in
+      let label = Printf.sprintf "seed %d" seed in
+      check_bool (label ^ " unflagged") false sg.Bcc_kern.Spgraph.symmetric;
+      check_bool (label ^ " has one-way edges") true
+        (Sparse.degree_sums sg
+        <> Array.init n (fun i -> 2 * Sparse.out_degree sg i));
+      check_bool (label ^ " degree_sums = dense") true
+        (Graph_backend.Dense.degree_sums dg = Sparse.degree_sums sg);
+      for u = 0 to n - 1 do
+        check_ints
+          (Printf.sprintf "%s iter_mutual %d" label u)
+          (mutual_row Graph_backend.Dense.iter_mutual dg u)
+          (mutual_row Graph_backend.Sparse_backend.iter_mutual sg u)
+      done;
+      check_ints (label ^ " top_degree")
+        (Dense_recover.top_degree_vertices dg k)
+        (Sparse_recover.top_degree_vertices sg k);
+      let core = List.filteri (fun i _ -> i mod 2 = 0) clique in
+      check_ints (label ^ " extend_by_majority")
+        (Dense_recover.extend_by_majority dg ~core ~threshold:0.5)
+        (Sparse_recover.extend_by_majority sg ~core ~threshold:0.5);
+      check_ints (label ^ " degree_recover")
+        (Dense_recover.degree_recover dg ~k)
+        (Sparse_recover.degree_recover sg ~k))
+    [ 1; 2; 3 ]
+
+(* [top_degree_vertices] against the heapsort selection it replaced
+   (test/oracle), for every k from 0 to n + 2, on both backends and on
+   flagged and unflagged CSRs.  Each k is classed by the ties at its
+   k-th place, and every class must occur: ties only below it, a tie
+   run ending at it, and a tie across it (the heapsort fallback). *)
+let test_top_degree_vs_heapsort () =
+  let below = ref 0 and at = ref 0 and across = ref 0 in
+  let classify ds k =
+    let sd = Array.copy ds in
+    Array.sort (fun a b -> Int.compare b a) sd;
+    let n = Array.length sd in
+    let tie i = i + 1 < n && sd.(i) = sd.(i + 1) in
+    if k >= 1 && k < n then
+      if tie (k - 1) then incr across
+      else if k >= 2 && tie (k - 2) then incr at
+      else if List.exists tie (List.init (n - k) (fun i -> k + i)) then
+        incr below
+  in
+  let check_all label top ds =
+    let n = Array.length ds in
+    for k = 0 to n + 2 do
+      classify ds k;
+      check_ints
+        (Printf.sprintf "%s k=%d" label k)
+        (Oracle.top_degree_vertices ds k) (top k)
+    done
+  in
+  let on_dense label dg =
+    check_all ("dense " ^ label)
+      (Dense_recover.top_degree_vertices dg)
+      (Graph_backend.Dense.degree_sums dg)
+  in
+  let on_sparse label sg =
+    check_all
+      (Printf.sprintf "sparse %s (flagged %b)" label sg.Bcc_kern.Spgraph.symmetric)
+      (Sparse_recover.top_degree_vertices sg)
+      (Sparse.degree_sums sg)
+  in
+  List.iter
+    (fun (n, p, seed) ->
+      let label = Printf.sprintf "n=%d p=%g" n p in
+      let sg = Sparse.sample_gnp (Prng.create seed) ~n ~p in
+      let dg = Sparse.to_digraph sg in
+      on_dense label dg;
+      on_sparse label sg;
+      on_sparse label (Sparse.of_digraph dg))
+    [ (0, 0.5, 1); (6, 0.0, 1); (64, 0.1, 1); (200, 0.05, 2); (300, 0.2, 3) ];
+  let dg, _ = one_way_planted ~n:200 ~k:40 4 in
+  on_dense "one-way" dg;
+  on_sparse "one-way" (Sparse.of_digraph dg);
+  check_bool "ties below the k-th place" true (!below > 0);
+  check_bool "a tie run ending at the k-th place" true (!at > 0);
+  check_bool "ties across the k-th place" true (!across > 0)
+
 (* ------------------------------------------------- pool independence *)
 
 let test_kernels_pool_independent () =
@@ -963,6 +1111,15 @@ let () =
             test_recover_functor_matches_legacy;
           Alcotest.test_case "Generic advantage dense = sparse" `Quick
             test_generic_advantage_dense_eq_sparse;
+        ] );
+      ( "symmetric flag",
+        [
+          Alcotest.test_case "samplers flag symmetric CSRs" `Quick
+            test_samplers_flag_symmetric;
+          Alcotest.test_case "one-way digraph stays unflagged" `Quick
+            test_one_way_unflagged;
+          Alcotest.test_case "top_degree = heapsort oracle" `Quick
+            test_top_degree_vs_heapsort;
         ] );
       ( "determinism",
         [
