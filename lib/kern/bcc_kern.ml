@@ -759,12 +759,8 @@ module Spgraph = struct
      repeated O(n + m) scans (every [degree_sums] during recovery paid a
      ~10^9-entry walk) into one scan per graph.  The only write is the
      monotone [false -> true] after a full pass, so concurrent readers
-     in sharded kernels are safe.
-
-     [symmetric] records that every entry (i, j) has its reverse (j, i).
-     Only [make_symmetric] sets it, and nothing checks it: it is the
-     constructing caller's promise, which lets degree recovery skip the
-     in-degree scan and the reverse-edge tests. *)
+     in sharded kernels are safe.  [symmetric] is the constructing
+     caller's promise, never checked (see [make_symmetric]). *)
   type t = {
     n : int;
     row_ptr : int array;
