@@ -132,13 +132,15 @@ let test_print_renders () =
      in
      contains 0)
 
-(* Cross-commit pins for the experiments that run [Clique.Recover]: the
-   [Digest] hex of each EXP envelope as `bcc_cli run` writes it at the
+(* Cross-commit pins for the experiments that run the graph statistics:
+   distinguisher advantages (e5), protocol gaps (e8, e10), triangle
+   counts (e17) and [Clique.Recover] (e25, e30, e31).  Each is the
+   [Digest] hex of the EXP envelope as `bcc_cli run` writes it at the
    default seed, with the [git] field dropped (it names the producing
    checkout, and is the only field that does) — the md5 of EXP_<id>.json
    without its "git" line and final newline.  A change to sampling,
-   recovery or a table's rendering fails here even when every in-run
-   oracle moves with it.  e31 runs at BCC_E31_N = 4096. *)
+   recovery, hit counting or a table's rendering fails here even when
+   every in-run oracle moves with it.  e31 runs at BCC_E31_N = 4096. *)
 let with_env name value f =
   let old = Sys.getenv_opt name in
   Unix.putenv name value;
@@ -156,6 +158,10 @@ let envelope_digest t =
 
 let golden_exp =
   [
+    ("e5", "7ba163e303481af39a3d16894a239318");
+    ("e8", "f2b79d3d425b7e0e6e1336e6c66a92f5");
+    ("e10", "d79bd921ec264f3d6097698c80cce74b");
+    ("e17", "41d46b123e8bc8e2b8c49ed961a5b6f8");
     ("e25", "ee723bd881d69293713530903adf7aba");
     ("e30", "c7b8bdf32903e5a62e4e2bb8555b7d10");
     ("e31", "39b4074bb72ff30217487de37d3630ba");

@@ -780,12 +780,19 @@ let test_recover_dense_eq_sparse () =
         (Sparse_recover.top_degree_vertices sg k))
     [ 1; 2; 42 ]
 
-let test_recover_functor_matches_legacy () =
-  (* Recover(Dense) must be the pre-functor dense implementation. *)
+let test_recover_dense_known_answer () =
+  (* Recover(Dense) returns exactly the planted clique here, pinned as a
+     literal so a change to the selection or the refinement shows. *)
   let n = 256 and k = 48 in
-  let dg, _ = Planted.sample_planted (Prng.create 3) ~n ~k in
-  check_ints "legacy alias" (Clique.degree_recover dg ~k)
-    (Dense_recover.degree_recover dg ~k)
+  let dg, clique = Planted.sample_planted (Prng.create 3) ~n ~k in
+  let want =
+    [ 5; 8; 9; 19; 24; 26; 28; 36; 41; 45; 46; 51; 54; 65; 66; 86; 91; 94;
+      99; 104; 112; 113; 116; 117; 120; 153; 161; 167; 175; 176; 177; 187;
+      188; 198; 200; 201; 202; 210; 211; 213; 223; 226; 231; 233; 241; 242;
+      250; 252 ]
+  in
+  check_ints "planted clique" want (List.sort Int.compare clique);
+  check_ints "degree_recover" want (Dense_recover.degree_recover dg ~k)
 
 let test_generic_advantage_dense_eq_sparse () =
   let n = 128 and k = 32 and p = 0.5 in
@@ -1107,8 +1114,8 @@ let () =
         [
           Alcotest.test_case "recover dense = sparse" `Quick
             test_recover_dense_eq_sparse;
-          Alcotest.test_case "Recover(Dense) = legacy" `Quick
-            test_recover_functor_matches_legacy;
+          Alcotest.test_case "Recover(Dense) known answer" `Quick
+            test_recover_dense_known_answer;
           Alcotest.test_case "Generic advantage dense = sparse" `Quick
             test_generic_advantage_dense_eq_sparse;
         ] );
