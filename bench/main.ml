@@ -152,7 +152,8 @@ let micro_rows () =
        in
        fun () ->
          Framework.progress_sampled d proto ~indices:2 ~samples:500 (Prng.create 12));
-    bench "e17:triangle-count-128" (fun () -> Triangles.count pc_graph);
+    bench "e17:triangle-count-128" (fun () ->
+        Graph_backend.Dense.count_triangles pc_graph);
     bench "e18:sbm-recovery"
       (let graph, _ = Sbm.sample (Prng.create 13) ~n:64 ~p_in:0.8 ~p_out:0.2 in
        fun () -> Sbm.degree_profile_recover graph);
@@ -483,7 +484,7 @@ let kern_rows () =
               quick;
             })
         [ (12, true); (16, false) ];
-      (* Batched threshold counting behind the distinguisher hit rates. *)
+      (* The threshold counter behind the distinguisher hit rates. *)
       List.map
         (fun (trials, quick) ->
           let stats = input (fun () -> Array.init trials (fun _ -> Prng.float g)) in
@@ -497,34 +498,6 @@ let kern_rows () =
               quick;
             })
         [ (4096, true); (65536, false) ];
-      (* The 64-trials-per-word slicing primitive behind the distinguisher
-         loops ([Distinguishers.advantage], [Advantage.protocol_gap]): pack
-         each 64-trial slice with [Enum.above_word] and popcount, vs the
-         per-trial branch. *)
-      (let trials = 4096 in
-       let stats = input (fun () -> Array.init trials (fun _ -> Prng.float g)) in
-       [
-         Row
-           {
-             group = "adv-slice";
-             case = Printf.sprintf "trials=%d" trials;
-             naive = (fun () -> Oracle.count_above (stats ()) ~threshold:0.5);
-             kern =
-               (fun () ->
-                 let stats = stats () in
-                 let hits = ref 0 in
-                 let b = ref 0 in
-                 while !b < trials do
-                   let count = min 64 (trials - !b) in
-                   let w = Bcc_kern.Enum.above_word stats ~threshold:0.5 ~lo:!b ~count in
-                   hits := !hits + Bitvec.popcount_word w;
-                   b := !b + 64
-                 done;
-                 !hits);
-             equal = Int.equal;
-             quick = true;
-           };
-       ]);
       (* Ablation: one O(2^n) sign-weighted sum per coefficient vs the WHT
          (O(4^n) vs O(n 2^n)); 0/1 tables keep both sides bit-equal. *)
       List.map

@@ -742,7 +742,8 @@ let e17_triangles ?(seed = 42) () =
   (* Null calibration: measured mean/std vs closed form. *)
   let null_counts =
     Array.init trials (fun i ->
-        float_of_int (Triangles.count (Planted.sample_rand (Prng.split g i) n)))
+        float_of_int
+          (Graph_backend.Dense.count_triangles (Planted.sample_rand (Prng.split g i) n)))
   in
   rows :=
     [ "null mean"; f4 (Stats.mean null_counts); f4 (Triangles.expected_random n); "-" ]
@@ -756,7 +757,7 @@ let e17_triangles ?(seed = 42) () =
             let graph, _ =
               Planted.sample_planted (Prng.split g (1000 + (k * 100) + i)) ~n ~k
             in
-            float_of_int (Triangles.count graph))
+            float_of_int (Graph_backend.Dense.count_triangles graph))
       in
       let adv =
         Advantage.best_threshold_advantage ~statistic_a:planted_counts
@@ -1095,6 +1096,7 @@ let e24_connectivity ?(seed = 42) () =
 (* ----------------------------------------------------------------- E25 *)
 
 let e25_search_baselines ?(seed = 42) () =
+  let module R = Clique.Recover (Graph_backend.Dense) in
   let g = Prng.create seed in
   let n = 128 in
   let trials = 12 in
@@ -1107,7 +1109,7 @@ let e25_search_baselines ?(seed = 42) () =
         let gi = Prng.split g ((k * 1000) + i) in
         let graph, clique = Planted.sample_planted gi ~n ~k in
         let contains found = List.for_all (fun v -> List.mem v found) clique in
-        if contains (Clique.degree_recover graph ~k) then incr deg_ok;
+        if contains (R.degree_recover graph ~k) then incr deg_ok;
         let seed_size = Clique.log_clique_size_bound n + 3 in
         if k >= seed_size && contains (Clique.quasi_poly_find graph ~seed_size) then
           incr qp_ok
@@ -1322,7 +1324,6 @@ let e29_progress_growth ?(seed = 42) () =
    equal inside the artifact itself. *)
 let e30_sparse_planted ?(seed = 42) () =
   let module R = Clique.Recover (Graph_backend.Sparse_backend) in
-  let module TS = Triangles.Of (Graph_backend.Sparse_backend) in
   let module DS = Distinguishers.Generic (Graph_backend.Sparse_backend) in
   let g = Prng.create seed in
   let rows = ref [] in
@@ -1410,8 +1411,10 @@ let e30_sparse_planted ?(seed = 42) () =
   let on = 256 and op = 0.05 in
   let sg = Sparse.sample_gnp (Prng.split g 7) ~n:on ~p:op in
   let dg = Sparse.to_digraph sg in
-  let tri_d = Triangles.count dg and tri_s = TS.count sg in
-  let k4_d = Triangles.count_k4 dg and k4_s = TS.count_k4 sg in
+  let module D = Graph_backend.Dense in
+  let module S = Graph_backend.Sparse_backend in
+  let tri_d = D.count_triangles dg and tri_s = S.count_triangles sg in
+  let k4_d = D.count_k4 dg and k4_s = S.count_k4 sg in
   rows :=
     [ Printf.sprintf "triangles dense vs sparse (n=%d)" on; string_of_int tri_s;
       string_of_int tri_d; (if tri_d = tri_s then "yes" else "NO") ]

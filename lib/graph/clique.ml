@@ -38,15 +38,10 @@ let greedy_clique g graph =
     order;
   List.sort Int.compare !chosen
 
-(* The degree-based recovery pipeline, over either representation.  The
-   dense instantiation below reproduces the pre-functor implementations
-   exactly: [top_degree_vertices] selects the vertices the heapsort of
-   the same (degree, vertex) array with the same comparator puts first,
-   and [extend_by_majority]'s scan counts — one increment per core
+(* The degree-based recovery pipeline, over either representation.
+   [extend_by_majority]'s scan counts — one increment per core
    occurrence of [v] plus one per bidirectional (core, v) edge pair —
-   equal the per-vertex fold [#{u in core : u = v or (v <-> u)}] it
-   replaces, so the selected vertex sets (and every EXP artifact built
-   on them) are unchanged. *)
+   equal the per-vertex fold [#{u in core : u = v or (v <-> u)}]. *)
 module Recover (B : Graph_backend.S) = struct
   let extend_by_majority g ~core ~threshold =
     let n = B.vertex_count g in
@@ -124,11 +119,6 @@ module Recover (B : Graph_backend.S) = struct
     stabilize (top_degree_vertices g k) 20
 end
 
-module Dense_recover = Recover (Graph_backend.Dense)
-
-let extend_by_majority = Dense_recover.extend_by_majority
-let top_degree_vertices = Dense_recover.top_degree_vertices
-
 let log_clique_size_bound n =
   int_of_float (Float.ceil (2.0 *. Float.log (float_of_int (max 2 n)) /. Float.log 2.0))
 
@@ -161,7 +151,6 @@ let quasi_poly_find g ~seed_size =
   | None -> []
   | Some seed ->
       (* Extend by majority adjacency to the seed, then stabilize. *)
-      let candidate = extend_by_majority g ~core:seed ~threshold:0.9 in
-      extend_by_majority g ~core:candidate ~threshold:0.9
-
-let degree_recover = Dense_recover.degree_recover
+      let module R = Recover (Graph_backend.Dense) in
+      let candidate = R.extend_by_majority g ~core:seed ~threshold:0.9 in
+      R.extend_by_majority g ~core:candidate ~threshold:0.9

@@ -30,36 +30,30 @@ val greedy_clique : Prng.t -> Digraph.t -> int list
     directions) to all chosen so far. *)
 
 (** The degree-based recovery pipeline over any {!Graph_backend.S}
-    representation.  [Recover (Graph_backend.Dense)] is the module the
-    dense functions below alias — same vertex sets, bit for bit — and
-    [Recover (Graph_backend.Sparse_backend)] runs the identical algorithm
-    text on the CSR at n = 10^5+ (experiment e30). *)
+    representation: [Recover (Graph_backend.Dense)] on the bit matrix
+    (experiment e25), and the identical algorithm text on the CSR at
+    n = 10^5+ as [Recover (Graph_backend.Sparse_backend)] (experiments
+    e30, e31). *)
 module Recover (B : Graph_backend.S) : sig
   val extend_by_majority : B.t -> core:int list -> threshold:float -> int list
-  (** All vertices bidirectionally adjacent to at least [threshold]
-      fraction of [core] (core members qualify by convention), by one
-      scan over the core rows.  Sorted increasingly. *)
+  (** The final step of Theorem B.1's algorithm: all vertices
+      bidirectionally adjacent to at least [threshold] fraction of [core]
+      (core members qualify by convention), by one scan over the core
+      rows.  Sorted increasingly. *)
 
   val top_degree_vertices : B.t -> int -> int list
-  (** The [k] vertices of highest total degree (in + out), sorted
-      increasingly; all of them when [k >= n].  Ties at the [k]-th place
-      are broken as [Array.sort] (a heapsort) orders the array of
-      [(degree, vertex)] pairs by descending degree.  Raises
-      [Invalid_argument] when [k < 0]. *)
+  (** The [k] vertices of highest total degree (in + out), the classical
+      [k = Omega(sqrt n)] baseline, sorted increasingly; all of them when
+      [k >= n].  Ties at the [k]-th place are broken as [Array.sort] (a
+      heapsort) orders the array of [(degree, vertex)] pairs by
+      descending degree.  Raises [Invalid_argument] when [k < 0]. *)
 
   val degree_recover : B.t -> k:int -> int list
-  (** Kucera's baseline: top-[k] degrees, then majority refinement to a
-      fixed point (budget-capped). *)
+  (** Kucera's [k = Omega(sqrt n)] baseline: take the [k] highest-degree
+      vertices, then keep the vertices adjacent to at least 3/4 of the
+      current candidate set until a fixed point (budget-capped).  Sorted
+      output. *)
 end
-
-val extend_by_majority : Digraph.t -> core:int list -> threshold:float -> int list
-(** The final step of Theorem B.1's algorithm: all vertices bidirectionally
-    adjacent to at least [threshold] fraction of [core] (core members
-    qualify by convention).  Sorted increasingly. *)
-
-val top_degree_vertices : Digraph.t -> int -> int list
-(** [top_degree_vertices g k]: the [k] vertices of highest total degree
-    (in + out), the classical [k = Omega(sqrt n)] baseline. *)
 
 val log_clique_size_bound : int -> int
 (** [~ 2 log2 n], the size above which cliques stop appearing in random
@@ -74,8 +68,3 @@ val quasi_poly_find : Digraph.t -> seed_size:int -> int list
     extend it greedily to the whole planted clique by majority adjacency.
     Exhaustive over all [C(n, seed_size)] candidate seeds in the worst
     case (keep [seed_size] small); returns the best extension found. *)
-
-val degree_recover : Digraph.t -> k:int -> int list
-(** The [k = Omega(sqrt n)] baseline of Kucera: take the [k] highest-degree
-    vertices, then iteratively keep vertices adjacent to at least 3/4 of
-    the current candidate set until a fixed point.  Sorted output. *)

@@ -1,14 +1,12 @@
 (** The dense/sparse representation seam.
 
     {!S} is the slice of graph functionality the recovery algorithms and
-    distinguisher statistics actually consume; [Clique.Recover],
-    [Triangles.Of] and [Distinguishers.Generic] are functors over it, so
-    the same algorithm text runs on the O(n^2)-bit {!Digraph} matrix and
-    on the O(n + m) {!Sparse} CSR.  {!Dense} reproduces today's dense
-    call paths {e exactly} (same kernels, same comparison order), which
-    is what keeps the existing EXP artifact pins byte-identical after the
-    parameterization; test/test_sparse.ml pins dense == sparse results on
-    shared-seed graphs at n <= 512. *)
+    distinguisher statistics actually consume; [Clique.Recover] and
+    [Distinguishers.Generic] are functors over it, so the same algorithm
+    text runs on the O(n^2)-bit {!Digraph} matrix and on the O(n + m)
+    {!Sparse} CSR.  The dense recovery, distinguisher battery and
+    triangle/K4 counts are the {!Dense} instances; test/test_sparse.ml
+    pins dense == sparse results on shared-seed graphs at n <= 512. *)
 
 module type S = sig
   type t
@@ -31,8 +29,8 @@ module type S = sig
   (** Per-vertex out + in degree — the top-degree recovery statistic. *)
 
   val count_triangles : t -> int
-  (** Triangle count {e of the bidirectional core} ([Triangles.count]'s
-      semantics). *)
+  (** Triangle count {e of the bidirectional core}, the statistic whose
+      null moments {!Triangles} gives in closed form. *)
 
   val count_k4 : t -> int
   (** K4 count of the bidirectional core. *)
@@ -41,8 +39,8 @@ end
 module Dense : S with type t = Digraph.t
 (** The bit-matrix backend: degree sums by row popcount + column scan,
     mutual neighbours by an out-row scan with a reverse-edge test,
-    core/triangles/K4 via the packed {!Bcc_kern.Graph} kernels — the
-    exact call path [Clique.bidirectional_core]/[Triangles.count] use. *)
+    core/triangles/K4 via the packed {!Bcc_kern.Graph} kernels on
+    [Clique.bidirectional_core]'s core. *)
 
 module Sparse_backend : S with type t = Sparse.t
 (** The CSR backend: merge/gallop row ops and the sharded

@@ -2,21 +2,6 @@ let foi = float_of_int
 
 let choose3 n = foi (n * (n - 1) * (n - 2)) /. 6.0
 
-(* Each triangle (K4) is counted once as i < j < l (< m): the suffix
-   constraint and the neighborhood intersections run as fused word counts
-   in Bcc_kern.Graph — no allocation in the inner loops, same counts as
-   the mask-materializing oracle versions in test/oracle. *)
-let count g = Bcc_kern.Graph.count_triangles (Clique.bidirectional_core g)
-
-let count_k4 g = Bcc_kern.Graph.count_k4 (Clique.bidirectional_core g)
-
-(* Backend-parameterized counts; [Of (Graph_backend.Dense)] runs the
-   same kernel pipeline as [count]/[count_k4] above. *)
-module Of (B : Graph_backend.S) = struct
-  let count = B.count_triangles
-  let count_k4 = B.count_k4
-end
-
 (* The bidirectional core of A_rand is G(n, 1/4). *)
 let p_core = 0.25
 

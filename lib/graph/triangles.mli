@@ -1,28 +1,13 @@
 (** Triangle counting — the first problem Section 9 nominates for the
     paper's technique ("counting triangles (or K_4s) in random graphs").
 
-    On the bidirectional core of a directed graph: exact counts via
-    bitset intersection, the closed-form expectation/variance under
-    [A_rand], the planted-clique excess, and the K_4 count.  Everything a
-    triangle-based distinguisher needs — and the expected-value algebra
-    showing {e why} it fails below [k ~ n^{1/2}] (the excess
+    On the bidirectional core of a directed graph: the closed-form
+    expectation/variance of the triangle count under [A_rand] and the
+    planted-clique excess — the expected-value algebra showing {e why} a
+    triangle-based distinguisher fails below [k ~ n^{1/2}] (the excess
     [C(k,3) / 8^{-1} n^{3/2}]-ish z-score crosses 1 only near
-    [k = Theta(sqrt n)]). *)
-
-val count : Digraph.t -> int
-(** Exact number of triangles in the bidirectional core. *)
-
-val count_k4 : Digraph.t -> int
-(** Exact number of bidirectional K_4s. *)
-
-(** The same counts over any {!Graph_backend.S}: [Of (Graph_backend.Dense)]
-    is the packed-kernel pipeline of {!count}, [Of
-    (Graph_backend.Sparse_backend)] the sharded sorted-merge kernels on
-    the CSR. *)
-module Of (B : Graph_backend.S) : sig
-  val count : B.t -> int
-  val count_k4 : B.t -> int
-end
+    [k = Theta(sqrt n)]).  The exact counts are each backend's
+    [count_triangles] and [count_k4] ({!Graph_backend.S}). *)
 
 val expected_random : int -> float
 (** [E[triangles]] under [A_rand^n]: [C(n,3) * (1/64)] (each of the three

@@ -1223,10 +1223,9 @@ module Enum = struct
     end;
     2 * !acc
 
-  (* Batched threshold counting for the Monte-Carlo distinguisher loops.
-     Branchless: each comparison becomes a 0/1 add, so the loop carries no
-     data-dependent branches for the predictor to miss on the ~q-quantile
-     hit pattern. *)
+  (* Threshold counting for the distinguisher hit rates
+     ([Distinguishers.Generic.advantage]): one unboxed float comparison
+     per entry. *)
   let count_above (stats : float array) ~(threshold : float) =
     (* The float annotations matter: without them the body elaborates
        with polymorphic compare (the mli only constrains the signature,
@@ -1237,19 +1236,6 @@ module Enum = struct
       if Array.unsafe_get stats i > threshold then incr hits
     done;
     !hits
-
-  (* One packed word of threshold bits: bit [t] of the result is set iff
-     [stats.(lo + t) > threshold], for [t < count <= 64] — the slicing
-     primitive behind the 64-trials-per-word distinguisher batches. *)
-  let above_word (stats : float array) ~(threshold : float) ~lo ~count =
-    if count < 0 || count > 64 || lo < 0 || lo + count > Array.length stats
-    then invalid_arg "Bcc_kern.Enum.above_word";
-    let w = ref 0L in
-    for t = 0 to count - 1 do
-      if Array.unsafe_get stats (lo + t) > threshold then
-        w := Int64.logor !w (Int64.shift_left 1L t)
-    done;
-    !w
 
   (* Gray-code walk over the n-cube: [first ()] for input 0, then one
      [next ~flipped ~index] per remaining input — each step flips exactly

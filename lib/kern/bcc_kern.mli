@@ -282,14 +282,8 @@ module Enum : sig
   (** [|{x : f(x) <> f(x xor e_i)}|] — the influence numerator. *)
 
   val count_above : float array -> threshold:float -> int
-  (** [|{j : stats.(j) > threshold}|] — the batched distinguisher hit
-      count, one branchless 0/1 add per entry. *)
-
-  val above_word : float array -> threshold:float -> lo:int -> count:int -> int64
-  (** [above_word stats ~threshold ~lo ~count]: bit [t] of the result is
-      set iff [stats.(lo + t) > threshold], for [t < count <= 64] — the
-      packing primitive of the 64-trials-per-word distinguisher slices
-      ([Distinguishers.advantage]). *)
+  (** [|{j : stats.(j) > threshold}|] — the distinguisher hit count of
+      [Distinguishers.Generic.advantage]. *)
 
   val iter_gray : int -> first:(unit -> unit) -> next:(flipped:int -> index:int -> unit) -> unit
   (** Gray-code walk over the n-cube: [first ()] for input 0, then one

@@ -6,47 +6,14 @@ let foi = float_of_int
    so nothing mutable crosses domains (protocol values whose [spawn]
    closes over shared mutable state must synchronise it — the in-repo
    protocols do). *)
-let trial_outcomes proto ~sample branch ~trials =
-  Par.map_trials branch ~trials (fun ~trial:_ gt ->
-      let result = Bcast.run proto ~inputs:(sample gt) ~rand:gt in
-      result.Bcast.outputs.(0))
-
 let protocol_gap proto ~sample_yes ~sample_no ~trials g =
-  (* Trial-sliced acceptance counting: outcomes of trials [64b, 64b+64)
-     pack into one word (bit t iff trial 64b + t accepted) and the word
-     is popcounted.  The slice width is a constant 64, never the lane
-     count, and the count of set bits is the count of accepting trials,
-     so the gap is bit-identical to {!protocol_gap_scalar}. *)
-  (* bcc-lint: noalloc *)
   let rate branch sample =
-    let outcomes = trial_outcomes proto ~sample branch ~trials in
-    let hits = ref 0 in
-    let b = ref 0 in
-    let w = ref 0L in
-    while !b < trials do
-      let count = min 64 (trials - !b) in
-      w := 0L;
-      (* bcc-lint: allow kern/unsafe-index — !b + t < !b + count <= trials = Array.length outcomes (count = min 64 (trials - !b)) *)
-      for t = 0 to count - 1 do
-        if Array.unsafe_get outcomes (!b + t) then
-          w := Int64.logor !w (Int64.shift_left 1L t)
-      done;
-      hits := !hits + Bitvec.popcount_word !w;
-      b := !b + 64
-    done;
-    foi !hits /. foi trials
-  in
-  rate (Prng.split g 0) sample_yes -. rate (Prng.split g 1) sample_no
-
-let protocol_gap_scalar proto ~sample_yes ~sample_no ~trials g =
-  let rate branch sample =
-    let hits =
-      Par.map_reduce branch ~trials ~init:0
-        ~f:(fun ~trial:_ gt ->
+    let outcomes =
+      Par.map_trials branch ~trials (fun ~trial:_ gt ->
           let result = Bcast.run proto ~inputs:(sample gt) ~rand:gt in
-          if result.Bcast.outputs.(0) then 1 else 0)
-        ~reduce:( + )
+          result.Bcast.outputs.(0))
     in
+    let hits = Array.fold_left (fun n ok -> if ok then n + 1 else n) 0 outcomes in
     foi hits /. foi trials
   in
   rate (Prng.split g 0) sample_yes -. rate (Prng.split g 1) sample_no

@@ -16,21 +16,9 @@ val protocol_gap :
   Prng.t ->
   float
 (** [Pr[out_0 = true | yes] - Pr[out_0 = true | no]], each estimated on
-    [trials] runs.  Acceptance counting is trial-sliced — 64 trial
-    outcomes pack into one word, popcounted — with the same per-trial
-    [Prng.split] discipline as {!protocol_gap_scalar}, so the gap (and
-    every [EXP_*.json] derived from it) is bit-identical to the scalar
-    path at every domain count. *)
-
-val protocol_gap_scalar :
-  bool Bcast.protocol ->
-  sample_yes:(Prng.t -> Bitvec.t array) ->
-  sample_no:(Prng.t -> Bitvec.t array) ->
-  trials:int ->
-  Prng.t ->
-  float
-(** {!protocol_gap} with per-trial (unsliced) counting — the in-run
-    equality oracle for the sliced path. *)
+    [trials] runs.  Trials run in parallel via [Par] with one
+    [Prng.split] child per trial, so the gap depends only on [g]'s seed,
+    never on the domain count. *)
 
 val transcript_tv_sampled :
   Turn_model.protocol ->

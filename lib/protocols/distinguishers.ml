@@ -1,164 +1,9 @@
-type t = {
-  name : string;
-  rounds : int;
-  statistic : Prng.t -> Digraph.t -> float;
-}
-
-let out_degrees g =
-  Array.init (Digraph.vertex_count g) (fun i -> float_of_int (Digraph.out_degree g i))
-
-let max_out_degree =
-  {
-    name = "max-out-degree";
-    rounds = 1;
-    statistic = (fun _ g -> Array.fold_left Float.max 0.0 (out_degrees g));
-  }
-
-let total_edges =
-  {
-    name = "total-edges";
-    rounds = 1;
-    statistic = (fun _ g -> Array.fold_left ( +. ) 0.0 (out_degrees g));
-  }
-
-let degree_variance =
-  {
-    name = "degree-variance";
-    rounds = 1;
-    statistic = (fun _ g -> Stats.variance (out_degrees g));
-  }
-
-let sampled_subgraph_clique ~sample_size =
-  {
-    name = Printf.sprintf "sampled-clique(s=%d)" sample_size;
-    (* One round to agree on the sample, then each sampled vertex's
-       adjacency into the sample is broadcast: at most [sample_size + 1]
-       BCAST(log n) rounds whenever [n >= sample_size]. *)
-    rounds = sample_size + 1;
-    statistic =
-      (fun coins g ->
-        let n = Digraph.vertex_count g in
-        let s = min sample_size n in
-        let sample = Prng.subset coins ~n ~k:s in
-        float_of_int (List.length (Clique.max_clique_of_subset g sample)));
-  }
-
-let triangle_count =
-  {
-    name = "triangle-count";
-    rounds = 65;
-    (* n/4-ish BCAST(log n) rounds to ship each row's relevant quarter at
-       the n=256 default; recorded as the n=256 figure. *)
-    statistic = (fun _ g -> float_of_int (Triangles.count g));
-  }
-
-let k4_count =
-  {
-    name = "k4-count";
-    rounds = 65;
-    statistic = (fun _ g -> float_of_int (Triangles.count_k4 g));
-  }
-
-let common_neighbors ~pairs =
-  {
-    name = Printf.sprintf "common-neighbors(pairs=%d)" pairs;
-    rounds = max 1 ((2 * pairs) / 64) + 1;
-    statistic =
-      (fun coins g ->
-        let n = Digraph.vertex_count g in
-        let best = ref 0 in
-        for _ = 1 to pairs do
-          let i = Prng.int coins n in
-          let j = Prng.int coins n in
-          if i <> j && Digraph.has_edge g i j && Digraph.has_edge g j i then begin
-            let c = Digraph.count_common_out_neighbors g i j in
-            if c > !best then best := c
-          end
-        done;
-        float_of_int !best);
-  }
-
-(* Trial-sliced hit counting: trials [64b, 64b + 64) pack into one word
-   ({!Bcc_kern.Enum.above_word}, bit t iff trial 64b + t exceeded), and
-   the word is popcounted.  The slice width is the word width — a
-   constant 64, never the lane count — and every comparison is the same
-   [stat > threshold] the scalar path makes, so the count (and every
-   artifact derived from it) is integer-identical to {!hits_scalar}. *)
-(* bcc-lint: noalloc *)
-let hits_sliced (stats : float array) ~(threshold : float) =
-  let trials = Array.length stats in
-  let hits = ref 0 in
-  let b = ref 0 in
-  while !b < trials do
-    let count = min 64 (trials - !b) in
-    let w = Bcc_kern.Enum.above_word stats ~threshold ~lo:!b ~count in
-    hits := !hits + Bitvec.popcount_word w;
-    b := !b + 64
-  done;
-  !hits
-
-(* The per-trial count the slices must reproduce — kept as the in-run
-   equality oracle (test/test_kern.ml compares the two paths on the
-   experiment seeds). *)
-let hits_scalar (stats : float array) ~(threshold : float) =
-  let hits = ref 0 in
-  for t = 0 to Array.length stats - 1 do
-    if Array.unsafe_get stats t > threshold then incr hits
-  done;
-  !hits
-
-(* The calibrate/planted/rand protocol, generic in the graph
-   representation: the callers below fix the samplers.  Trials fan out
-   across domains: each trial draws from its own [Prng.split] child
-   (sample first, then the statistic's public coins), so the result is
-   the same whatever the domain count.  [g] itself is never advanced —
-   branches 0/1/2 keep the three stages on disjoint streams. *)
-let advantage_core ~hit_count ~name ~statistic ~sample_rand ~sample_planted
-    ~calibration ~trials g =
-  let body () =
-    let calib_stats =
-      Prof.span "calibrate" (fun () ->
-          Par.map_trials (Prng.split g 0) ~trials:calibration (fun ~trial:_ gt ->
-              let graph = sample_rand gt in
-              statistic gt graph))
-    in
-    let q = 1.0 -. (1.0 /. Float.sqrt (float_of_int (max 2 calibration))) in
-    let threshold = Stats.quantile calib_stats q in
-    let hit_rate phase branch sample_graph =
-      (* Collect the raw statistics, then count threshold exceedances in
-         one batched pass — same comparisons in the same order as the
-         per-trial test, so artifacts are unchanged. *)
-      Prof.span phase (fun () ->
-          let stats =
-            Par.map_trials branch ~trials (fun ~trial:_ gt ->
-                let graph = sample_graph gt in
-                statistic gt graph)
-          in
-          let hits = hit_count stats ~threshold in
-          float_of_int hits /. float_of_int trials)
-    in
-    let p_planted = hit_rate "planted" (Prng.split g 1) sample_planted in
-    let p_rand = hit_rate "rand" (Prng.split g 2) sample_rand in
-    p_planted -. p_rand
-  in
-  if Prof.enabled () then Prof.span ("advantage:" ^ name) body else body ()
-
-let advantage_with ~hit_count d ~n ~k ~calibration ~trials g =
-  advantage_core ~hit_count ~name:d.name ~statistic:d.statistic
-    ~sample_rand:(fun gt -> Planted.sample_rand gt n)
-    ~sample_planted:(fun gt -> fst (Planted.sample_planted gt ~n ~k))
-    ~calibration ~trials g
-
-let advantage d = advantage_with ~hit_count:hits_sliced d
-let advantage_scalar d = advantage_with ~hit_count:hits_scalar d
-
-(* Distinguishers over any graph backend — the sparse-regime experiments
-   instantiate this with [Graph_backend.Sparse_backend] and the CSR
-   samplers.  Statistics mirror their dense namesakes above statement for
-   statement; the advantage protocol is [advantage_core], so thresholds,
-   split branches and Prof spans are shared. *)
+(* The battery, written once over any graph backend: the dense API below
+   is its [Graph_backend.Dense] instance, and the sparse-regime
+   experiments instantiate it with [Graph_backend.Sparse_backend] and
+   the CSR samplers. *)
 module Generic (B : Graph_backend.S) = struct
-  type nonrec t = {
+  type t = {
     name : string;
     rounds : int;
     statistic : Prng.t -> B.t -> float;
@@ -167,42 +12,44 @@ module Generic (B : Graph_backend.S) = struct
   let out_degrees g =
     Array.init (B.vertex_count g) (fun i -> float_of_int (B.out_degree g i))
 
-  let max_out_degree : t =
+  let max_out_degree =
     {
       name = "max-out-degree";
       rounds = 1;
       statistic = (fun _ g -> Array.fold_left Float.max 0.0 (out_degrees g));
     }
 
-  let total_edges : t =
+  let total_edges =
     {
       name = "total-edges";
       rounds = 1;
       statistic = (fun _ g -> Array.fold_left ( +. ) 0.0 (out_degrees g));
     }
 
-  let degree_variance : t =
+  let degree_variance =
     {
       name = "degree-variance";
       rounds = 1;
       statistic = (fun _ g -> Stats.variance (out_degrees g));
     }
 
-  let triangle_count : t =
+  let triangle_count =
     {
       name = "triangle-count";
       rounds = 65;
+      (* n/4-ish BCAST(log n) rounds to ship each row's relevant quarter at
+         the n=256 default; recorded as the n=256 figure. *)
       statistic = (fun _ g -> float_of_int (B.count_triangles g));
     }
 
-  let k4_count : t =
+  let k4_count =
     {
       name = "k4-count";
       rounds = 65;
       statistic = (fun _ g -> float_of_int (B.count_k4 g));
     }
 
-  let common_neighbors ~pairs : t =
+  let common_neighbors ~pairs =
     {
       name = Printf.sprintf "common-neighbors(pairs=%d)" pairs;
       rounds = max 1 ((2 * pairs) / 64) + 1;
@@ -221,7 +68,57 @@ module Generic (B : Graph_backend.S) = struct
           float_of_int !best);
     }
 
-  let advantage (d : t) ~sample_rand ~sample_planted ~calibration ~trials g =
-    advantage_core ~hit_count:hits_sliced ~name:d.name ~statistic:d.statistic
-      ~sample_rand ~sample_planted ~calibration ~trials g
+  (* The calibrate/planted/rand protocol.  Trials fan out across
+     domains: each trial draws from its own [Prng.split] child (sample
+     first, then the statistic's public coins), so the result is the
+     same whatever the domain count.  [g] itself is never advanced —
+     branches 0/1/2 keep the three stages on disjoint streams. *)
+  let advantage d ~sample_rand ~sample_planted ~calibration ~trials g =
+    let body () =
+      let calib_stats =
+        Prof.span "calibrate" (fun () ->
+            Par.map_trials (Prng.split g 0) ~trials:calibration (fun ~trial:_ gt ->
+                let graph = sample_rand gt in
+                d.statistic gt graph))
+      in
+      let q = 1.0 -. (1.0 /. Float.sqrt (float_of_int (max 2 calibration))) in
+      let threshold = Stats.quantile calib_stats q in
+      let hit_rate phase branch sample_graph =
+        Prof.span phase (fun () ->
+            let stats =
+              Par.map_trials branch ~trials (fun ~trial:_ gt ->
+                  let graph = sample_graph gt in
+                  d.statistic gt graph)
+            in
+            let hits = Bcc_kern.Enum.count_above stats ~threshold in
+            float_of_int hits /. float_of_int trials)
+      in
+      let p_planted = hit_rate "planted" (Prng.split g 1) sample_planted in
+      let p_rand = hit_rate "rand" (Prng.split g 2) sample_rand in
+      p_planted -. p_rand
+    in
+    if Prof.enabled () then Prof.span ("advantage:" ^ d.name) body else body ()
 end
+
+include Generic (Graph_backend.Dense)
+
+let sampled_subgraph_clique ~sample_size =
+  {
+    name = Printf.sprintf "sampled-clique(s=%d)" sample_size;
+    (* One round to agree on the sample, then each sampled vertex's
+       adjacency into the sample is broadcast: at most [sample_size + 1]
+       BCAST(log n) rounds whenever [n >= sample_size]. *)
+    rounds = sample_size + 1;
+    statistic =
+      (fun coins g ->
+        let n = Digraph.vertex_count g in
+        let s = min sample_size n in
+        let sample = Prng.subset coins ~n ~k:s in
+        float_of_int (List.length (Clique.max_clique_of_subset g sample)));
+  }
+
+let advantage d ~n ~k ~calibration ~trials g =
+  advantage d
+    ~sample_rand:(fun gt -> Planted.sample_rand gt n)
+    ~sample_planted:(fun gt -> fst (Planted.sample_planted gt ~n ~k))
+    ~calibration ~trials g

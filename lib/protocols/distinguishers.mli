@@ -10,97 +10,52 @@
     confirming that each becomes useless exactly where the theory says the
     problem is hard and succeeds where the [k >> sqrt n] algorithms live.
 
-    Each distinguisher is packaged as a {!t}: a protocol producing a real
-    statistic plus a decision threshold calibrated on [A_rand]. *)
+    Each distinguisher is packaged as a [t]: a protocol producing a real
+    statistic plus a decision threshold calibrated on [A_rand].  The
+    battery is written once, as {!Generic}; the dense API of this module
+    is [Generic (Graph_backend.Dense)] plus {!sampled_subgraph_clique}
+    and an {!advantage} that samples [Planted]'s [A_rand] and [A_k]. *)
 
-type t = {
-  name : string;
-  rounds : int;  (** BCAST(log n) rounds consumed. *)
-  statistic : Prng.t -> Digraph.t -> float;
-      (** The value the protocol's referee computes from the transcript.
-          The [Prng.t] covers the protocol's public coins (e.g. which
-          vertices to sample); private input access is limited to what the
-          stated rounds can broadcast. *)
-}
-
-val max_out_degree : t
-(** 1 round: every processor broadcasts its out-degree; statistic is the
-    maximum.  Detects the clique once [k ~ sqrt(n log n)]. *)
-
-val total_edges : t
-(** 1 round: out-degrees are broadcast; statistic is their sum (the edge
-    count), elevated by [~k^2/4] under [A_k]. *)
-
-val degree_variance : t
-(** 1 round: sample variance of the out-degrees. *)
-
-val sampled_subgraph_clique : sample_size:int -> t
-(** [sample_size + 1] rounds: a public random set [S] of vertices is
-    chosen, its induced subgraph broadcast, and the statistic is the size
-    of its maximum clique, compared to the [~2 log2 |S|] of a random
-    graph.  Succeeds when the sample catches [Omega(log n)] clique
-    vertices. *)
-
-val triangle_count : t
-(** [n/4 + 1] rounds (enough BCAST(log n) rounds to exchange the
-    bidirectional core): exact triangle count of the core, the statistic
-    Section 9 proposes.  Its z-score under planting is
-    {!Triangles.zscore}, crossing detectability near [k ~ sqrt n]. *)
-
-val k4_count : t
-(** Same exchange; counts bidirectional K_4s. *)
-
-val common_neighbors : pairs:int -> t
-(** [2 * pairs / n + 1] rounds (rows of sampled vertices are broadcast):
-    maximum over sampled vertex pairs of their common out-neighbourhood
-    size, elevated for clique pairs. *)
-
-val advantage :
-  t -> n:int -> k:int -> calibration:int -> trials:int -> Prng.t -> float
-(** Empirical distinguishing advantage: the threshold is set at the
-    [1 - 1/sqrt calibration] quantile of the statistic on [A_rand] samples,
-    then [advantage = Pr_{A_k}[stat > thr] - Pr_{A_rand}[stat > thr]]
-    measured on [trials] fresh samples of each.  In [[-1, 1]]; ~0 means
-    the distinguisher is blind.
-
-    Trials run in parallel via [Par] with one [Prng.split] child per
-    trial; the result depends only on [g]'s seed, never on the domain
-    count.  [g] is split, not advanced.
-
-    Hit counting is trial-sliced: 64 trials pack into one word
-    ([Bcc_kern.Enum.above_word]) and the word is popcounted.  The slice
-    width is a constant 64 (never the lane count) and the comparisons
-    are the scalar path's, in the same order, so the result — and every
-    [EXP_*.json] derived from it — is bit-identical to
-    {!advantage_scalar}. *)
-
-val advantage_scalar :
-  t -> n:int -> k:int -> calibration:int -> trials:int -> Prng.t -> float
-(** {!advantage} with per-trial (unsliced) hit counting — the in-run
-    equality oracle for the sliced path; tests pin the two equal on the
-    experiment seeds. *)
-
-(** The distinguisher battery over any {!Graph_backend.S} — the sparse
+(** The distinguisher battery over any {!Graph_backend.S}.  The sparse
     experiments instantiate it with [Graph_backend.Sparse_backend] and
-    the CSR samplers.  Statistics mirror their dense namesakes statement
-    for statement, and {!Generic.advantage} runs the exact
-    calibrate/planted/rand protocol of the dense {!advantage} (same
-    [Prng.split] branches, threshold quantile, Prof spans and sliced hit
-    counting), so dense and sparse advantages of the same statistic on
-    stream-identical samplers coincide (test/test_sparse.ml). *)
+    the CSR samplers; dense and sparse advantages of the same statistic
+    on stream-identical samplers coincide (test/test_sparse.ml). *)
 module Generic (B : Graph_backend.S) : sig
   type t = {
     name : string;
     rounds : int;  (** BCAST(log n) rounds consumed. *)
     statistic : Prng.t -> B.t -> float;
+        (** The value the protocol's referee computes from the transcript.
+            The [Prng.t] covers the protocol's public coins (e.g. which
+            vertices to sample); private input access is limited to what
+            the stated rounds can broadcast. *)
   }
 
   val max_out_degree : t
+  (** 1 round: every processor broadcasts its out-degree; statistic is the
+      maximum.  Detects the clique once [k ~ sqrt(n log n)]. *)
+
   val total_edges : t
+  (** 1 round: out-degrees are broadcast; statistic is their sum (the edge
+      count), elevated by [~k^2/4] under [A_k]. *)
+
   val degree_variance : t
+  (** 1 round: sample variance of the out-degrees. *)
+
   val triangle_count : t
+  (** 65 rounds, the [n/4 + 1] BCAST(log n) rounds that exchange the
+      bidirectional core at [n = 256], recorded at every [n]: exact
+      triangle count of the core, the statistic Section 9 proposes.  Its
+      z-score under planting is {!Triangles.zscore}, crossing
+      detectability near [k ~ sqrt n]. *)
+
   val k4_count : t
+  (** Same exchange and round count; counts bidirectional K_4s. *)
+
   val common_neighbors : pairs:int -> t
+  (** [max 1 (2 * pairs / 64) + 1] rounds at every [n] (rows of sampled
+      vertices are broadcast): maximum over sampled vertex pairs of their
+      common out-neighbourhood size, elevated for clique pairs. *)
 
   val advantage :
     t ->
@@ -110,6 +65,30 @@ module Generic (B : Graph_backend.S) : sig
     trials:int ->
     Prng.t ->
     float
-  (** Empirical advantage with caller-supplied samplers (the null model
-      is a parameter in the sparse regime: G(n, p), not G(n, 1/2)). *)
+  (** Empirical distinguishing advantage: the threshold is set at the
+      [1 - 1/sqrt calibration] quantile of the statistic on
+      [sample_rand] samples, then
+      [advantage = Pr_{planted}[stat > thr] - Pr_{rand}[stat > thr]]
+      measured on [trials] fresh samples of each, with the exceedances
+      counted by [Bcc_kern.Enum.count_above].  In [[-1, 1]]; ~0 means
+      the distinguisher is blind.  The null model is a parameter: in the
+      sparse regime it is G(n, p), not G(n, 1/2).
+
+      Trials run in parallel via [Par] with one [Prng.split] child per
+      trial; the result depends only on [g]'s seed, never on the domain
+      count.  [g] is split, not advanced. *)
 end
+
+include module type of Generic (Graph_backend.Dense)
+
+val sampled_subgraph_clique : sample_size:int -> t
+(** [sample_size + 1] rounds: a public random set [S] of vertices is
+    chosen, its induced subgraph broadcast, and the statistic is the size
+    of its maximum clique, compared to the [~2 log2 |S|] of a random
+    graph.  Succeeds when the sample catches [Omega(log n)] clique
+    vertices. *)
+
+val advantage :
+  t -> n:int -> k:int -> calibration:int -> trials:int -> Prng.t -> float
+(** [Generic]'s advantage between [A_rand] ([Planted.sample_rand]) and
+    [A_k] ([Planted.sample_planted]) on [n] vertices. *)

@@ -32,7 +32,8 @@ let test_degree_recover_large_k () =
   let g = Prng.create 3 in
   let n = 128 and k = 48 in
   let graph, clique = Planted.sample_planted g ~n ~k in
-  let found = Clique.degree_recover graph ~k in
+  let module R = Clique.Recover (Graph_backend.Dense) in
+  let found = R.degree_recover graph ~k in
   let hits = List.length (List.filter (fun v -> List.mem v found) clique) in
   check_bool "recovers most of a large clique" true (hits >= (k * 3 / 4))
 
@@ -239,10 +240,10 @@ let test_triangle_count_small () =
       Digraph.add_edge g i j;
       Digraph.add_edge g j i)
     [ (0, 1); (0, 2); (1, 2) ];
-  check_int "one triangle" 1 (Triangles.count g);
-  check_int "no k4" 0 (Triangles.count_k4 g);
+  check_int "one triangle" 1 (Graph_backend.Dense.count_triangles g);
+  check_int "no k4" 0 (Graph_backend.Dense.count_k4 g);
   Digraph.remove_edge g 1 2;
-  check_int "direction matters" 0 (Triangles.count g)
+  check_int "direction matters" 0 (Graph_backend.Dense.count_triangles g)
 
 let test_k4_count_small () =
   let g = Digraph.create 5 in
@@ -257,8 +258,8 @@ let test_k4_count_small () =
           end)
         quad)
     quad;
-  check_int "4 triangles" 4 (Triangles.count g);
-  check_int "one k4" 1 (Triangles.count_k4 g)
+  check_int "4 triangles" 4 (Graph_backend.Dense.count_triangles g);
+  check_int "one k4" 1 (Graph_backend.Dense.count_k4 g)
 
 let test_triangle_count_matches_naive () =
   let g = Prng.create 15 in
@@ -272,7 +273,7 @@ let test_triangle_count_matches_naive () =
         done
       done
     done;
-    check_int "bitset count = naive" !naive (Triangles.count graph)
+    check_int "bitset count = naive" !naive (Graph_backend.Dense.count_triangles graph)
   done
 
 let test_triangle_expectation_matches () =
@@ -281,7 +282,8 @@ let test_triangle_expectation_matches () =
   let trials = 40 in
   let total = ref 0.0 in
   for i = 1 to trials do
-    total := !total +. float_of_int (Triangles.count (Planted.sample_rand (Prng.split g i) n))
+    let graph = Planted.sample_rand (Prng.split g i) n in
+    total := !total +. float_of_int (Graph_backend.Dense.count_triangles graph)
   done;
   let mean = !total /. float_of_int trials in
   let expected = Triangles.expected_random n in
@@ -333,9 +335,9 @@ let test_triangle_distinguisher_wrappers () =
   let t = Distinguishers.triangle_count.Distinguishers.statistic g graph in
   let q = Distinguishers.k4_count.Distinguishers.statistic g graph in
   Alcotest.(check (float 1e-9)) "triangle statistic = exact count"
-    (float_of_int (Triangles.count graph)) t;
+    (float_of_int (Graph_backend.Dense.count_triangles graph)) t;
   Alcotest.(check (float 1e-9)) "k4 statistic = exact count"
-    (float_of_int (Triangles.count_k4 graph)) q
+    (float_of_int (Graph_backend.Dense.count_k4 graph)) q
 
 let test_in_model_gap_large_k () =
   let g = Prng.create 19 in

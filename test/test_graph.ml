@@ -213,17 +213,19 @@ let test_greedy_clique_is_clique () =
     check_bool "nonempty" true (List.length c >= 1)
   done
 
+module Dense_recover = Clique.Recover (Graph_backend.Dense)
+
 let test_extend_by_majority () =
   let g = Prng.create 9 in
   let graph, c = Planted.sample_planted g ~n:60 ~k:20 in
   (* Use half the clique as the core; extension should recover all of C. *)
   let core = List.filteri (fun i _ -> i < 10) c in
-  let extended = Clique.extend_by_majority graph ~core ~threshold:0.9 in
+  let extended = Dense_recover.extend_by_majority graph ~core ~threshold:0.9 in
   check_bool "recovers the planted set" true (List.for_all (fun v -> List.mem v extended) c)
 
 let test_extend_empty_core () =
   let graph = Digraph.create 5 in
-  check_ints "empty core" [] (Clique.extend_by_majority graph ~core:[] ~threshold:0.9)
+  check_ints "empty core" [] (Dense_recover.extend_by_majority graph ~core:[] ~threshold:0.9)
 
 let test_top_degree () =
   let g = Digraph.create 4 in
@@ -231,15 +233,15 @@ let test_top_degree () =
   Digraph.add_edge g 0 2;
   Digraph.add_edge g 0 3;
   Digraph.add_edge g 1 0;
-  check_ints "highest degree first" [ 0 ] (Clique.top_degree_vertices g 1);
-  check_int "asks more than n" 4 (List.length (Clique.top_degree_vertices g 9))
+  check_ints "highest degree first" [ 0 ] (Dense_recover.top_degree_vertices g 1);
+  check_int "asks more than n" 4 (List.length (Dense_recover.top_degree_vertices g 9))
 
 let test_top_degree_finds_large_planted () =
   (* The classical k >> sqrt(n) regime: top-k degrees recover the clique. *)
   let g = Prng.create 10 in
   let n = 100 and k = 45 in
   let graph, c = Planted.sample_planted g ~n ~k in
-  let top = Clique.top_degree_vertices graph k in
+  let top = Dense_recover.top_degree_vertices graph k in
   let recovered = List.filter (fun v -> List.mem v top) c in
   check_bool "most of the clique among top degrees" true
     (List.length recovered > (k * 3 / 4))

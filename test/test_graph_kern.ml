@@ -176,7 +176,7 @@ let test_counts_on_complete_graph () =
       check_int
         (Printf.sprintf "triangles K%d" n)
         (n * (n - 1) * (n - 2) / 6)
-        (Triangles.count graph);
+        (Graph_backend.Dense.count_triangles graph);
       check_int
         (Printf.sprintf "k4 K%d" n)
         (n * (n - 1) * (n - 2) * (n - 3) / 24)
