@@ -400,9 +400,9 @@ let test_mul_wide_vs_ref () =
 
 (* Known answers for the two Monte-Carlo hit counters, at every seed and
    domain count: [Distinguishers.advantage] (threshold exceedances) and
-   [Advantage.protocol_gap] (accepting runs).  Each value is
-   [planted rate - rand rate] over 100 (70) trials per phase, so a
-   changed count moves it by at least 1/100 (1/70). *)
+   [Advantage.protocol_gap] (accepting runs).  Each value is a
+   difference of two hit rates over 100 (70) trials each, so a changed
+   count moves it by at least 1/100 (1/70). *)
 
 let check_known name ~expect run =
   List.iter
