@@ -132,15 +132,15 @@ let test_print_renders () =
      in
      contains 0)
 
-(* Cross-commit pins for the experiments that run the graph statistics:
-   distinguisher advantages (e5), protocol gaps (e8, e10), triangle
-   counts (e17) and [Clique.Recover] (e25, e30, e31).  Each is the
-   [Digest] hex of the EXP envelope as `bcc_cli run` writes it at the
-   default seed, with the [git] field dropped (it names the producing
-   checkout, and is the only field that does) — the md5 of EXP_<id>.json
-   without its "git" line and final newline.  A change to sampling,
-   recovery, hit counting or a table's rendering fails here even when
-   every in-run oracle moves with it.  e31 runs at BCC_E31_N = 4096. *)
+(* Cross-commit pins for every experiment in the registry, run through
+   [Experiments.by_id] (and so through the metered wrapper every caller
+   uses).  Each is the [Digest] hex of the EXP envelope as `bcc_cli run`
+   writes it at the default seed, with the [git] field dropped (it names
+   the producing checkout, and is the only field that does) — the md5 of
+   EXP_<id>.json without its "git" line and final newline.  A change to
+   sampling, recovery, a simulator or a table's rendering fails here even
+   when every in-run oracle moves with it.  e31 runs at
+   BCC_E31_N = 4096. *)
 let with_env name value f =
   let old = Sys.getenv_opt name in
   Unix.putenv name value;
@@ -158,16 +158,42 @@ let envelope_digest t =
 
 let golden_exp =
   [
+    ("e1", "8b0c4679446344e98ad6c4dadfcee10d");
+    ("e2", "5c7edde4554eee1465abc051795cc44e");
+    ("e3", "18123c5ae619627e76caf0808131fb31");
+    ("e4", "7e3bf06f344f59ac17ef4280035f6d6c");
     ("e5", "7ba163e303481af39a3d16894a239318");
+    ("e6", "2913de4763336fe118df2876bc276793");
+    ("e7", "a8c5fa54f35c460076e992e1cfa0acf0");
     ("e8", "f2b79d3d425b7e0e6e1336e6c66a92f5");
+    ("e9", "8d456b3540cb4e8663dbc6f98fcd2144");
     ("e10", "d79bd921ec264f3d6097698c80cce74b");
+    ("e11", "770827decdaecf7ec2e956315956c39e");
+    ("e12", "ff51c5648e8562edefdaab6b6fc60a58");
+    ("e13", "853c3914fc31d880033ab43eac9a79a3");
+    ("e14", "1eafa8e55c06d466e201a93280619d36");
+    ("e15", "caf995c190b5c4527b2fd7d6c4684822");
+    ("e16", "935eca535aba46720b6730d7238a85d1");
     ("e17", "41d46b123e8bc8e2b8c49ed961a5b6f8");
+    ("e18", "3483823f18016b6d2b5f83aad482ecb0");
+    ("e19", "f4a353682d5af254e3f990c9380f2fbe");
+    ("e20", "2666020f9a6597d782f8d3720ad5bdec");
+    ("e21", "0046b33be117a6720ab221204dc8048e");
+    ("e22", "22742efb7456e38d10b79c7b7798c12a");
+    ("e23", "877968f0988d3081deee18438cf1482e");
+    ("e24", "06ac5e0d08ddce4dc6ee408d1f4b65c2");
     ("e25", "ee723bd881d69293713530903adf7aba");
+    ("e26", "20ff4ed6f3f5af3140f89793afdec7ef");
+    ("e27", "4e7d62aae521674f2279c0ec2ddf13d8");
+    ("e28", "49d88e4b88c75f139f685e9ca7a1a219");
+    ("e29", "2784a538efb4127eb3c73518a8cdc743");
     ("e30", "c7b8bdf32903e5a62e4e2bb8555b7d10");
     ("e31", "39b4074bb72ff30217487de37d3630ba");
   ]
 
 let test_golden_exp_digests () =
+  Alcotest.(check (list string))
+    "one pin per registry id" Experiments.ids (List.map fst golden_exp);
   let fresh (id, _) =
     match Experiments.by_id id with
     | None -> Alcotest.failf "no experiment %s" id
