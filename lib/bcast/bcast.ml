@@ -135,25 +135,17 @@ let m_rand_bits =
     (Metrics.histogram ~buckets:[| 0.; 1.; 8.; 32.; 128.; 512.; 2048.; 8192. |]
        "bcast_random_bits_per_processor")
 
-let run_with_sources proto ~inputs ~sources =
+(* One run; [run_with_sources] checks the arguments and opens its span. *)
+let simulate proto ~inputs ~sources =
   let n = Array.length inputs in
-  if n = 0 then invalid_arg "Bcast.run: no processors";
-  if Array.length sources <> n then invalid_arg "Bcast.run: sources/inputs mismatch";
-  Array.iteri (fun id r -> Rand_counter.set_owner r id) sources;
   let scope = proto.name in
-  (* Captured once: start/stop mid-run would otherwise unbalance the
-     span stack. *)
-  let profiling = Prof.enabled () in
-  if profiling then Prof.enter ("bcast:" ^ proto.name);
   let traced = Trace.enabled () in
-  if traced then begin
-    Trace.emit ~scope (Trace.Span_start { name = proto.name });
+  if traced then
     Array.iteri
       (fun id input ->
         Trace.emit ~scope
           (Trace.Spawn { id; n; input_bits = Bitvec.length input }))
-      inputs
-  end;
+      inputs;
   let procs =
     Array.init n (fun id -> proto.spawn ~id ~n ~input:inputs.(id) ~rand:sources.(id))
   in
@@ -183,7 +175,6 @@ let run_with_sources proto ~inputs ~sources =
         out)
       procs
   in
-  if traced then Trace.emit ~scope (Trace.Span_end { name = proto.name });
   let broadcast_bits = proto.rounds * n * proto.msg_bits in
   if Metrics.collecting () then begin
     Metrics.inc (Lazy.force m_runs);
@@ -199,10 +190,9 @@ let run_with_sources proto ~inputs ~sources =
       sources
   end;
   let random_bits = Array.map Rand_counter.bits_used sources in
-  if profiling then begin
+  if Prof.enabled () then begin
     Prof.add Prof.Broadcast_bits broadcast_bits;
-    Prof.add Prof.Prng_bits (Array.fold_left ( + ) 0 random_bits);
-    Prof.exit ()
+    Prof.add Prof.Prng_bits (Array.fold_left ( + ) 0 random_bits)
   end;
   {
     transcript = !transcript;
@@ -211,6 +201,13 @@ let run_with_sources proto ~inputs ~sources =
     broadcast_bits;
     random_bits;
   }
+
+let run_with_sources proto ~inputs ~sources =
+  let n = Array.length inputs in
+  if n = 0 then invalid_arg "Bcast.run: no processors";
+  if Array.length sources <> n then invalid_arg "Bcast.run: sources/inputs mismatch";
+  Array.iteri (fun id r -> Rand_counter.set_owner r id) sources;
+  Prof.span ("bcast:" ^ proto.name) (fun () -> simulate proto ~inputs ~sources)
 
 let run proto ~inputs ~rand =
   let n = Array.length inputs in

@@ -23,19 +23,16 @@ let m_runs = lazy (Metrics.counter "unicast_runs_total")
 let m_rounds = lazy (Metrics.counter "unicast_rounds_total")
 let m_channel_bits = lazy (Metrics.counter "unicast_channel_bits_total")
 
-let run_with_sources proto ~inputs ~sources =
+(* One run; [run_with_sources] checks the arguments and opens its span. *)
+let simulate proto ~inputs ~sources =
   let n = Array.length inputs in
-  if n = 0 then invalid_arg "Unicast.run: no processors";
-  Array.iteri (fun id r -> Bcast.Rand_counter.set_owner r id) sources;
   let scope = proto.name in
   let traced = Trace.enabled () in
-  if traced then begin
-    Trace.emit ~scope (Trace.Span_start { name = proto.name });
+  if traced then
     Array.iteri
       (fun id input ->
         Trace.emit ~scope (Trace.Spawn { id; n; input_bits = Bitvec.length input }))
-      inputs
-  end;
+      inputs;
   let max_value = 1 lsl proto.msg_bits in
   let procs =
     Array.init n (fun id -> proto.spawn ~id ~n ~input:inputs.(id) ~rand:sources.(id))
@@ -72,7 +69,6 @@ let run_with_sources proto ~inputs ~sources =
         out)
       procs
   in
-  if traced then Trace.emit ~scope (Trace.Span_end { name = proto.name });
   let channel_bits = proto.rounds * n * (n - 1) * proto.msg_bits in
   if Metrics.collecting () then begin
     Metrics.inc (Lazy.force m_runs);
@@ -85,6 +81,11 @@ let run_with_sources proto ~inputs ~sources =
     channel_bits;
     random_bits = Array.map Bcast.Rand_counter.bits_used sources;
   }
+
+let run_with_sources proto ~inputs ~sources =
+  if Array.length inputs = 0 then invalid_arg "Unicast.run: no processors";
+  Array.iteri (fun id r -> Bcast.Rand_counter.set_owner r id) sources;
+  Prof.span ("unicast:" ^ proto.name) (fun () -> simulate proto ~inputs ~sources)
 
 let run proto ~inputs ~rand =
   let n = Array.length inputs in

@@ -1619,24 +1619,15 @@ let write_artifact ?(dir = Artifact.default_dir) ?seed t =
 
 (* ------------------------------------------------------------------ all *)
 
-(* Every driver invocation feeds the metrics registry: an aggregate
-   wall-clock histogram, a per-experiment wall-clock gauge, and run/row
-   counters.  The drivers themselves additionally record Monte-Carlo
-   ratios (e10, e12) so advantage estimates carry Wilson half-widths. *)
+(* Every driver invocation opens an [exp:<id>] span and feeds the run
+   and row counters.  The drivers themselves additionally record
+   Monte-Carlo ratios (e10, e12) so advantage estimates carry Wilson
+   half-widths. *)
 let m_experiments = lazy (Metrics.counter "experiments_run_total")
 let m_rows = lazy (Metrics.counter "experiment_rows_total")
 
-let m_wall =
-  lazy (Metrics.histogram ~buckets:Metrics.duration_buckets "experiment_wall_seconds")
-
 let run_metered id f ?seed () =
-  let table, dt =
-    Prof.time (fun () ->
-        if Prof.enabled () then Prof.span ("exp:" ^ id) (fun () -> f ?seed ())
-        else f ?seed ())
-  in
-  Metrics.observe (Lazy.force m_wall) dt;
-  Metrics.set (Metrics.gauge (Printf.sprintf "experiment_wall_seconds_%s" id)) dt;
+  let table = Prof.span ("exp:" ^ id) (fun () -> f ?seed ()) in
   Metrics.inc (Lazy.force m_experiments);
   Metrics.inc ~by:(List.length table.rows) (Lazy.force m_rows);
   table

@@ -149,9 +149,7 @@ let describe name = Option.map (fun e -> e.describe) (find name)
 
 let run ~name ~seed =
   match find name with
-  | Some e ->
-      if Prof.enabled () then Prof.span ("runner:" ^ name) (fun () -> e.run ~seed)
-      else e.run ~seed
+  | Some e -> Prof.span ("runner:" ^ name) (fun () -> e.run ~seed)
   | None ->
       invalid_arg
         (Printf.sprintf "Runner.run: unknown protocol %S (known: %s)" name
@@ -176,9 +174,8 @@ let run_replicas ~name ~seed ~replicas =
 let trace ~name ~seed =
   match find name with
   | Some e ->
-      let sink, events = Sink.memory () in
-      let summary = Sink.with_sink sink (fun () -> e.run ~seed) in
-      (events (), summary)
+      let summary, events = Sink.capture (fun () -> e.run ~seed) in
+      (events, summary)
   | None ->
       invalid_arg
         (Printf.sprintf "Runner.trace: unknown protocol %S (known: %s)" name

@@ -42,10 +42,6 @@ let to_digraph t =
   done;
   g
 
-(* Profiler stage around a pipeline step; a plain call when profiling is
-   off. *)
-let stage name f = if Prof.enabled () then Prof.span name f else f ()
-
 (* [f 0] .. [f (count - 1)] on the [Par] pool; every caller writes
    disjoint slots, so the result never depends on the schedule. *)
 let par_for count f = ignore (Par.map_array f (Array.init count Fun.id))
@@ -60,7 +56,7 @@ let par_for count f = ignore (Par.map_array f (Array.init count Fun.id))
 (* bcc-lint: allow kern/unsafe-index — check_t proved row_ptr.(n) = Buf.int_length cols and every column in [0, n), so each e < m reads cols in bounds and each histogram index j < n = Buf.int_length h *)
 let degree_sums t =
   Spgraph.check_t t;
-  stage "sparse:degree_sums" (fun () ->
+  Prof.span "sparse:degree_sums" (fun () ->
       let n = Spgraph.vertex_count t in
       let row_ptr = t.Spgraph.row_ptr and cols = t.Spgraph.cols in
       let out i = row_ptr.(i + 1) - row_ptr.(i) in
@@ -420,11 +416,11 @@ let gnp_segments ?stream_cap g ~n ~p =
   end;
   [| (0, fwd_count, !js, !m) |]
 
-let build ~n segs = stage "sparse:build" (fun () -> csr_of_segments ~n segs)
+let build ~n segs = Prof.span "sparse:build" (fun () -> csr_of_segments ~n segs)
 
 let sample_gnp ?stream_cap g ~n ~p =
   build ~n
-    (stage "sparse:decode" (fun () -> gnp_segments ?stream_cap g ~n ~p))
+    (Prof.span "sparse:decode" (fun () -> gnp_segments ?stream_cap g ~n ~p))
 
 (* ---------- Word-level skip decode for the sharded sampler ---------- *)
 
@@ -656,7 +652,7 @@ let sharded_segments g ~n ~p =
   end
 
 let sample_gnp_sharded g ~n ~p =
-  build ~n (stage "sparse:decode" (fun () -> sharded_segments g ~n ~p))
+  build ~n (Prof.span "sparse:decode" (fun () -> sharded_segments g ~n ~p))
 
 (* Splice the clique on [cs] (sorted, distinct) into the pair stream
    [segs], so that one CSR build yields the planted instance.  Every
@@ -752,9 +748,9 @@ let splice_clique segs cs =
    is spliced into the pair stream and the CSR is built once. *)
 let planted decode g ~n ~p ~k =
   let c = Prng.subset g ~n ~k in
-  let segs = stage "sparse:decode" (fun () -> decode g ~n ~p) in
+  let segs = Prof.span "sparse:decode" (fun () -> decode g ~n ~p) in
   let cs = Array.of_list (List.sort_uniq Int.compare c) in
-  (build ~n (stage "sparse:splice" (fun () -> splice_clique segs cs)), c)
+  (build ~n (Prof.span "sparse:splice" (fun () -> splice_clique segs cs)), c)
 
 let sample_planted g ~n ~p ~k =
   planted (fun g ~n ~p -> gnp_segments g ~n ~p) g ~n ~p ~k

@@ -839,7 +839,7 @@ module Spgraph = struct
         let failures = Array.to_list (chunk_ranges t.n (scan_rows t)) in
         Option.iter invalid_arg (List.find_map Fun.id failures)
       in
-      if Prof.enabled () then Prof.span "kern:spgraph.check" scan else scan ();
+      Prof.span "kern:spgraph.check" scan;
       t.checked <- true
     end
 

@@ -530,8 +530,8 @@ let check_ident ctx ~loc lid =
   | Longident.Ldot (Longident.Lident "Unix", "gettimeofday")
   | Longident.Ldot (Longident.Lident "Unix", "time") ->
       add ctx ~loc "det/wall-clock"
-        "wall-clock read; timing belongs to Prof (Prof.time / Prof.timed \
-         / Prof.span), never to experiment output"
+        "wall-clock read; timing belongs to Prof (Prof.time / Prof.span), \
+         never to experiment output"
   | Longident.Lident "compare" when not ctx.c_local_compare ->
       add ctx ~loc "det/poly-compare"
         "bare polymorphic [compare]; use a monomorphic comparison \

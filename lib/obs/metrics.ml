@@ -1,7 +1,7 @@
-(* A process-wide registry of named counters, gauges, fixed-bucket
-   histograms, and binomial ratios (Monte-Carlo estimates with Wilson
-   intervals).  Handles are cheap mutable records; [snapshot] freezes the
-   registry into a value the artifact layer can serialize.
+(* A process-wide registry of named counters, fixed-bucket histograms,
+   and binomial ratios (Monte-Carlo estimates with Wilson intervals).
+   Handles are cheap mutable records; [snapshot] freezes the registry
+   into a value the artifact layer can serialize.
 
    Domain safety: registration, every handle update, [snapshot] and
    [reset] take one process-wide mutex, so trial bodies fanned out by
@@ -13,7 +13,6 @@
    branch and never touches the lock. *)
 
 type counter = { c_name : string; mutable c_count : int }
-type gauge = { g_name : string; mutable g_value : float; mutable g_set : bool }
 
 type histogram = {
   h_name : string;
@@ -27,7 +26,6 @@ type ratio = { r_name : string; mutable r_successes : int; mutable r_trials : in
 
 type metric =
   | M_counter of counter
-  | M_gauge of gauge
   | M_histogram of histogram
   | M_ratio of ratio
 
@@ -82,22 +80,8 @@ let counter name =
 
 let inc ?(by = 1) c = locked (fun () -> c.c_count <- c.c_count + by)
 
-let gauge name =
-  register name
-    (fun () -> M_gauge { g_name = name; g_value = 0.0; g_set = false })
-    "gauge"
-    (function M_gauge g -> Some g | _ -> None)
-
-let set g v =
-  locked (fun () ->
-      g.g_value <- v;
-      g.g_set <- true)
-
 (* bcc-lint: allow par/global-mutable — read-only bucket template, copied at histogram registration, never written *)
 let default_buckets = [| 1.0; 10.0; 100.0; 1000.0; 10_000.0; 100_000.0 |]
-
-(* bcc-lint: allow par/global-mutable — read-only bucket template, copied at histogram registration, never written *)
-let duration_buckets = [| 1e-4; 1e-3; 1e-2; 0.1; 1.0; 10.0; 60.0 |]
 
 let histogram ?(buckets = default_buckets) name =
   let ok = ref true in
@@ -152,7 +136,6 @@ let record_many r ~successes ~trials =
 
 type value =
   | Counter of int
-  | Gauge of float
   | Histogram of { buckets : float array; counts : int array; sum : float; count : int }
   | Ratio of {
       successes : int;
@@ -169,7 +152,6 @@ let wilson_z = 1.96
 
 let sample_of_metric = function
   | M_counter c -> { name = c.c_name; value = Counter c.c_count }
-  | M_gauge g -> { name = g.g_name; value = Gauge (if g.g_set then g.g_value else 0.0) }
   | M_histogram h ->
       {
         name = h.h_name;
@@ -219,9 +201,6 @@ let reset () =
         (fun _ m ->
           match m with
           | M_counter c -> c.c_count <- 0
-          | M_gauge g ->
-              g.g_value <- 0.0;
-              g.g_set <- false
           | M_histogram h ->
               Array.fill h.h_counts 0 (Array.length h.h_counts) 0;
               h.h_sum <- 0.0;
@@ -235,7 +214,6 @@ let reset () =
 
 let value_to_json = function
   | Counter v -> Artifact.Obj [ ("type", String "counter"); ("value", Int v) ]
-  | Gauge v -> Artifact.Obj [ ("type", String "gauge"); ("value", Float v) ]
   | Histogram { buckets; counts; sum; count } ->
       Artifact.Obj
         [
@@ -271,9 +249,6 @@ let pp fmt samples =
     (fun s ->
       match s.value with
       | Counter v -> Format.fprintf fmt "%-45s counter    %d@." s.name v
-      | Gauge v ->
-          (* bcc-lint: allow det/float-format — human console dump; artifact bytes go through to_json *)
-          Format.fprintf fmt "%-45s gauge      %g@." s.name v
       | Histogram { sum; count; buckets; counts } ->
           (* bcc-lint: allow det/float-format — human console dump; artifact bytes go through to_json *)
           Format.fprintf fmt "%-45s histogram  count=%d mean=%g@." s.name count

@@ -1,11 +1,10 @@
 (** A process-wide metrics registry.
 
-    Four metric kinds, all named and registered on first use:
+    Three metric kinds, all named and registered on first use:
 
     - {b counters}: monotone integer totals (runs, rounds, broadcast bits);
-    - {b gauges}: last-written float values;
     - {b histograms}: fixed-bucket distributions (broadcast bits per
-      round, random bits per processor, wall-clock per experiment);
+      round, random bits per processor);
     - {b ratios}: binomial success counts whose snapshots carry the
       Wilson score interval at [z = 1.96], so Monte-Carlo advantage
       estimates come with trustworthy half-widths.
@@ -28,7 +27,6 @@ val set_collecting : bool -> unit
 val collecting : unit -> bool
 
 type counter
-type gauge
 type histogram
 type ratio
 
@@ -39,14 +37,8 @@ val counter : string -> counter
 
 val inc : ?by:int -> counter -> unit
 
-val gauge : string -> gauge
-val set : gauge -> float -> unit
-
 val default_buckets : float array
 (** [1, 10, 100, ..., 1e5]. *)
-
-val duration_buckets : float array
-(** Seconds: [1e-4 .. 60]. *)
 
 val histogram : ?buckets:float array -> string -> histogram
 (** Buckets are strictly increasing upper bounds; an implicit overflow
@@ -58,15 +50,14 @@ val ratio : string -> ratio
 val record : ratio -> success:bool -> unit
 val record_many : ratio -> successes:int -> trials:int -> unit
 
-(** Timing helpers live in [Prof] ([Prof.time], [Prof.timed]), which owns
-    the repo's one sanctioned monotonic clock; [Metrics] itself is
+(** Timing lives in [Prof] ([Prof.time], [Prof.span]), which owns the
+    repo's one sanctioned monotonic clock; [Metrics] itself is
     clock-free. *)
 
 (** {1 Snapshots} *)
 
 type value =
   | Counter of int
-  | Gauge of float
   | Histogram of { buckets : float array; counts : int array; sum : float; count : int }
   | Ratio of {
       successes : int;

@@ -6,7 +6,8 @@
    a lint error.  Everything here is written around two constraints:
 
    - {b zero cost when disabled}: every instrumentation entry point reads
-     one plain [bool ref] and returns without allocating;
+     one plain [bool ref] ([span] also reads the trace sink's) and
+     returns without allocating;
    - {b per-domain state}: span stacks, aggregation trees and event
      buffers are domain-local ([Domain.DLS]), so Bcc_par worker lanes
      profile without contention and without forcing sequential fallbacks
@@ -20,11 +21,6 @@ let time f =
   let t0 = now_ns () in
   let r = f () in
   (r, float_of_int (now_ns () - t0) *. 1e-9)
-
-let timed h f =
-  let t0 = now_ns () in
-  Fun.protect f ~finally:(fun () ->
-      Metrics.observe h (float_of_int (now_ns () - t0) *. 1e-9))
 
 (* ------------------------------------------------------------ counters *)
 
@@ -117,9 +113,6 @@ let states_guard = Mutex.create ()
 
 (* bcc-lint: allow par/global-mutable — every access goes through states_guard *)
 let states : dstate list ref = ref []
-
-let m_span_seconds =
-  lazy (Metrics.histogram ~buckets:Metrics.duration_buckets "prof_span_seconds")
 
 let initial_frames = 64
 let initial_events = 4096
@@ -304,21 +297,23 @@ let exit () =
       let ctx = st.d_ctx.(st.d_depth) in
       let t1 = now_ns () in
       node.t_total_ns <- node.t_total_ns + (t1 - start);
-      if not ctx then begin
-        node.t_calls <- node.t_calls + 1;
-        Metrics.observe (Lazy.force m_span_seconds)
-          (float_of_int (t1 - start) *. 1e-9)
-      end;
+      if not ctx then node.t_calls <- node.t_calls + 1;
       record_event st 'E' node.t_name t1
     end
   end
 
+(* Both flags are read once, on entry: the body closes only what was
+   opened, whatever it does to the profiler or the sink. *)
 let span name f =
-  if !enabled_flag then begin
-    enter name;
-    Fun.protect f ~finally:exit
+  let profiling = !enabled_flag and traced = Trace.enabled () in
+  if not (profiling || traced) then f ()
+  else begin
+    if profiling then enter name;
+    if traced then Trace.emit ~scope:"span" (Trace.Span_start { name });
+    Fun.protect f ~finally:(fun () ->
+        if traced then Trace.emit ~scope:"span" (Trace.Span_end { name });
+        if profiling then exit ())
   end
-  else f ()
 
 (* bcc-lint: noalloc *)
 let add c by =

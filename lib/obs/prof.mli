@@ -10,11 +10,11 @@
     [trace.json] for flamegraph inspection.
 
     {b Zero cost when disabled.}  Every instrumentation entry point
-    ({!enter}, {!exit}, {!add}, {!span}, {!with_context}) starts with a
-    single read of a plain [bool ref] and allocates nothing on the
-    disabled path; [test/test_prof.ml] pins this with [Gc.minor_words]
-    deltas.  With no profiler installed, instrumented code behaves — and
-    allocates — exactly as uninstrumented code.
+    ({!add}, {!span}, {!with_context}) starts with a read of a plain
+    [bool ref] ({!span} also reads the trace sink's) and allocates
+    nothing on the disabled path; [test/test_prof.ml] pins this with
+    [Gc.minor_words] deltas.  With no profiler installed, instrumented
+    code behaves — and allocates — exactly as uninstrumented code.
 
     {b Domain safety.}  Span stacks and aggregation trees live in
     domain-local state ([Domain.DLS]), so [Bcc_par] worker lanes never
@@ -39,15 +39,11 @@
 val now_ns : unit -> int
 (** [CLOCK_MONOTONIC] in nanoseconds (a C stub; allocation-free).  The
     one audited wall-clock read in the tree — everything else must time
-    through {!time}, {!timed} or spans. *)
+    through {!time} or spans. *)
 
 val time : (unit -> 'a) -> 'a * float
 (** The thunk's result and its monotonic-clock duration in seconds.
     Always available; does not require the profiler to be on. *)
-
-val timed : Metrics.histogram -> (unit -> 'a) -> 'a
-(** Runs the thunk and observes its duration (seconds) in the
-    histogram, monotonic-clock timed, exception-safe. *)
 
 (** {1 Lifecycle} *)
 
@@ -80,13 +76,14 @@ val deterministic_counter : counter -> bool
     (and therefore part of the comparison payload).  Cache hit/miss
     splits depend on cross-domain scheduling, so they are telemetry. *)
 
-val enter : string -> unit
-(** Opens a span named [name] nested under the current one.  No-op when
-    disabled.  Pair with {!exit}; prefer {!span} on bodies that can
-    raise. *)
-
-val exit : unit -> unit
 val span : string -> (unit -> 'a) -> 'a
+(** [span name f] runs [f] inside a span named [name], the repo's one
+    span API.  While profiling, the span nests under the current one
+    and accrues [f]'s wall time, a call and the counters {!add}ed inside
+    it.  While a trace sink is installed, [f] is bracketed by a
+    [Trace.Span_start]/[Trace.Span_end] pair with scope ["span"].  Both
+    close however [f] returns, raises included.  With neither on, this
+    is [f ()]. *)
 
 val add : counter -> int -> unit
 (** Adds to the counter of the innermost open span on this domain (the

@@ -1,13 +1,10 @@
-(* Trace sinks and the JSONL wire format for events. *)
+(* Capturing a run's trace events, and the JSONL wire format for them. *)
 
-type t = { emit : Trace.event -> unit; close : unit -> unit }
-
-let null = { emit = (fun _ -> ()); close = ignore }
-
-let memory () =
+let capture body =
   let acc = ref [] in
-  ( { emit = (fun e -> acc := e :: !acc); close = ignore },
-    fun () -> List.rev !acc )
+  Trace.set_sink (fun e -> acc := e :: !acc);
+  let result = Fun.protect ~finally:Trace.clear_sink body in
+  (result, List.rev !acc)
 
 (* ------------------------------------------------------- serialization *)
 
@@ -36,10 +33,6 @@ let payload_to_json (p : Trace.payload) : Artifact.json =
         [ i "turn" turn; i "speaker" speaker; ("bit", Artifact.Bool bit) ]
   | Rand_draw { owner; op; bits } ->
       obj "rand_draw" [ i "owner" owner; s "op" op; i "bits" bits ]
-  | Mark { name; fields } ->
-      obj "mark"
-        [ s "name" name;
-          ("fields", Artifact.Obj (List.map (fun (k, v) -> (k, Artifact.String v)) fields)) ]
 
 let event_to_json (e : Trace.event) : Artifact.json =
   Artifact.Obj
@@ -84,19 +77,6 @@ let payload_of_json j : Trace.payload =
       in
       Turn { turn = i "turn"; speaker = i "speaker"; bit }
   | "rand_draw" -> Rand_draw { owner = i "owner"; op = s "op"; bits = i "bits" }
-  | "mark" ->
-      let fields =
-        match Artifact.member "fields" j with
-        | Some (Artifact.Obj kvs) ->
-            List.map
-              (fun (k, v) ->
-                match v with
-                | Artifact.String s -> (k, s)
-                | _ -> fail "mark field values must be strings")
-              kvs
-        | _ -> fail "missing or mistyped field \"fields\""
-      in
-      Mark { name = s "name"; fields }
   | ty -> fail (Printf.sprintf "unknown event type %S" ty)
 
 let event_of_json j : Trace.event =
@@ -133,28 +113,3 @@ let of_jsonl text =
          let line = String.trim line in
          if line = "" then None
          else Some (event_of_json (Artifact.of_string line)))
-
-let jsonl oc =
-  {
-    emit =
-      (fun e ->
-        output_string oc (Artifact.to_string (event_to_json e));
-        output_char oc '\n');
-    close = (fun () -> flush oc);
-  }
-
-(* --------------------------------------------------------- installing *)
-
-let install s = Trace.set_sink s.emit
-
-let uninstall s =
-  Trace.clear_sink ();
-  s.close ()
-
-let with_sink s body =
-  Trace.set_sink s.emit;
-  Fun.protect
-    ~finally:(fun () ->
-      Trace.clear_sink ();
-      s.close ())
-    body

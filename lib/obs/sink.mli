@@ -1,29 +1,14 @@
-(** Trace sinks: where {!Trace} events go, and the JSONL wire format.
+(** Capturing trace events, and their JSONL wire format.
 
-    A sink is an [emit] function plus a [close] hook.  {!with_sink}
-    installs one for the duration of a run; the JSONL form (one event
-    object per line) is what [bcc_cli trace] emits and what the trace
-    replay/diff tooling consumes. *)
+    {!capture} installs an in-memory sink for the duration of a run; the
+    JSONL form (one event object per line) is what [bcc_cli trace]
+    emits and what the trace replay/diff tooling consumes. *)
 
-type t = { emit : Trace.event -> unit; close : unit -> unit }
-
-val null : t
-(** Discards everything (useful to measure tracing overhead). *)
-
-val memory : unit -> t * (unit -> Trace.event list)
-(** A sink that accumulates events in memory; the second component
-    returns them in emission order. *)
-
-val jsonl : out_channel -> t
-(** Writes one JSON object per event per line; [close] flushes but does
-    not close the channel. *)
-
-val install : t -> unit
-val uninstall : t -> unit
-(** [uninstall s] clears the global sink and closes [s]. *)
-
-val with_sink : t -> (unit -> 'a) -> 'a
-(** Install, run, always clear the global sink and close. *)
+val capture : (unit -> 'a) -> 'a * Trace.event list
+(** [capture body] runs [body] with a sink installed and returns its
+    result with the events it emitted, in emission order (sequence
+    numbers start at 0).  The sink is uninstalled however [body]
+    returns; on a raise the events are dropped with it. *)
 
 (** {1 Serialization} *)
 

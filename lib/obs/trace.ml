@@ -17,7 +17,6 @@ type payload =
   | Unicast_send of { round : int; sender : int; messages : int; msg_bits : int }
   | Turn of { turn : int; speaker : int; bit : bool }
   | Rand_draw of { owner : int; op : string; bits : int }
-  | Mark of { name : string; fields : (string * string) list }
 
 type event = { seq : int; scope : string; payload : payload }
 
@@ -42,16 +41,3 @@ let set_sink f =
   current := Some f
 
 let clear_sink () = current := None
-
-let with_sink f body =
-  set_sink f;
-  Fun.protect ~finally:clear_sink body
-
-let span ~scope name body =
-  if enabled () then begin
-    emit ~scope (Span_start { name });
-    Fun.protect ~finally:(fun () -> emit ~scope (Span_end { name })) body
-  end
-  else body ()
-
-let event ~scope ?(fields = []) name = emit ~scope (Mark { name; fields })

@@ -1,8 +1,9 @@
 (** Structured tracing for the simulator and harness.
 
-    A single process-wide sink receives {!event} values; with no sink
-    installed ({!enabled} is [false]) instrumented code allocates nothing
-    — call sites guard construction with [if Trace.enabled () then ...].
+    A single process-wide sink receives {!event} values ([Sink.capture]
+    installs one around a run); with no sink installed ({!enabled} is
+    [false]) instrumented code allocates nothing — call sites guard
+    construction with [if Trace.enabled () then ...].
 
     Events carry a logical sequence number, not wall-clock time: running
     the same protocol twice with the same seed yields byte-identical
@@ -12,6 +13,8 @@
 type payload =
   | Span_start of { name : string }
   | Span_end of { name : string }
+      (** The pair [Prof.span] emits around its body, with scope
+          ["span"]. *)
   | Spawn of { id : int; n : int; input_bits : int }
       (** Processor [id] of [n] created with an [input_bits]-bit input. *)
   | Finish of { id : int }  (** Processor [id] produced its output. *)
@@ -29,8 +32,6 @@ type payload =
       (** A randomness draw charged [bits] bits to processor [owner]
           ([-1] when drawn outside a run); [op] names the primitive
           ("bool", "bits", "bitvec"). *)
-  | Mark of { name : string; fields : (string * string) list }
-      (** A generic point event (the {!event} helper). *)
 
 type event = { seq : int; scope : string; payload : payload }
 
@@ -46,13 +47,3 @@ val set_sink : (event -> unit) -> unit
 (** Installs a sink and resets the sequence counter to 0. *)
 
 val clear_sink : unit -> unit
-
-val with_sink : (event -> unit) -> (unit -> 'a) -> 'a
-(** [with_sink f body]: install [f], run [body], always uninstall. *)
-
-val span : scope:string -> string -> (unit -> 'a) -> 'a
-(** [span ~scope name body] brackets [body] with [Span_start]/[Span_end]
-    events (emitted only when a sink is installed). *)
-
-val event : scope:string -> ?fields:(string * string) list -> string -> unit
-(** A generic named point event with string fields. *)

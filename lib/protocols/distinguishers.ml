@@ -74,30 +74,28 @@ module Generic (B : Graph_backend.S) = struct
      same whatever the domain count.  [g] itself is never advanced —
      branches 0/1/2 keep the three stages on disjoint streams. *)
   let advantage d ~sample_rand ~sample_planted ~calibration ~trials g =
-    let body () =
-      let calib_stats =
-        Prof.span "calibrate" (fun () ->
-            Par.map_trials (Prng.split g 0) ~trials:calibration (fun ~trial:_ gt ->
-                let graph = sample_rand gt in
-                d.statistic gt graph))
-      in
-      let q = 1.0 -. (1.0 /. Float.sqrt (float_of_int (max 2 calibration))) in
-      let threshold = Stats.quantile calib_stats q in
-      let hit_rate phase branch sample_graph =
-        Prof.span phase (fun () ->
-            let stats =
-              Par.map_trials branch ~trials (fun ~trial:_ gt ->
-                  let graph = sample_graph gt in
-                  d.statistic gt graph)
-            in
-            let hits = Bcc_kern.Enum.count_above stats ~threshold in
-            float_of_int hits /. float_of_int trials)
-      in
-      let p_planted = hit_rate "planted" (Prng.split g 1) sample_planted in
-      let p_rand = hit_rate "rand" (Prng.split g 2) sample_rand in
-      p_planted -. p_rand
-    in
-    if Prof.enabled () then Prof.span ("advantage:" ^ d.name) body else body ()
+    Prof.span ("advantage:" ^ d.name) (fun () ->
+        let calib_stats =
+          Prof.span "calibrate" (fun () ->
+              Par.map_trials (Prng.split g 0) ~trials:calibration (fun ~trial:_ gt ->
+                  let graph = sample_rand gt in
+                  d.statistic gt graph))
+        in
+        let q = 1.0 -. (1.0 /. Float.sqrt (float_of_int (max 2 calibration))) in
+        let threshold = Stats.quantile calib_stats q in
+        let hit_rate phase branch sample_graph =
+          Prof.span phase (fun () ->
+              let stats =
+                Par.map_trials branch ~trials (fun ~trial:_ gt ->
+                    let graph = sample_graph gt in
+                    d.statistic gt graph)
+              in
+              let hits = Bcc_kern.Enum.count_above stats ~threshold in
+              float_of_int hits /. float_of_int trials)
+        in
+        let p_planted = hit_rate "planted" (Prng.split g 1) sample_planted in
+        let p_rand = hit_rate "rand" (Prng.split g 2) sample_rand in
+        p_planted -. p_rand)
 end
 
 include Generic (Graph_backend.Dense)

@@ -50,12 +50,10 @@ let test_no_sink_by_default () =
 
 let test_memory_sink_captures_run () =
   let n = 3 and rounds = 2 in
-  let sink, events = Sink.memory () in
-  let _ =
-    Sink.with_sink sink (fun () ->
+  let _, events =
+    Sink.capture (fun () ->
         Bcast.run_deterministic (const_proto "traced" 2 rounds 1) ~inputs:(inputs n))
   in
-  let events = events () in
   check_bool "sink uninstalled after" false (Trace.enabled ());
   (* span pair + n spawns + per round (start + n broadcasts + end) + n
      finishes. *)
@@ -80,9 +78,8 @@ let test_memory_sink_captures_run () =
 
 let test_rand_draw_events_match_accounting () =
   let n = 3 and rounds = 2 and msg_bits = 3 in
-  let sink, events = Sink.memory () in
-  let result =
-    Sink.with_sink sink (fun () ->
+  let result, events =
+    Sink.capture (fun () ->
         Bcast.run (random_proto msg_bits rounds) ~inputs:(inputs n)
           ~rand:(Prng.create 11))
   in
@@ -94,7 +91,7 @@ let test_rand_draw_events_match_accounting () =
           check_string "op" "bits" op;
           charged.(owner) <- charged.(owner) + bits
       | _ -> ())
-    (events ());
+    events;
   Array.iteri
     (fun i used -> check_int (Printf.sprintf "proc %d" i) used charged.(i))
     result.Bcast.random_bits
@@ -104,10 +101,8 @@ let test_turn_model_trace () =
     Turn_model.of_round_protocol ~n:3 ~rounds:2 (fun ~id:_ ~input ~history:_ ->
         Bitvec.get input 0)
   in
-  let sink, events = Sink.memory () in
-  let history =
-    Sink.with_sink sink (fun () ->
-        Turn_model.run proto ~inputs:(inputs 3))
+  let history, events =
+    Sink.capture (fun () -> Turn_model.run proto ~inputs:(inputs 3))
   in
   let turns =
     List.filter_map
@@ -115,7 +110,7 @@ let test_turn_model_trace () =
         match e.Trace.payload with
         | Trace.Turn { turn; speaker; bit } -> Some (turn, speaker, bit)
         | _ -> None)
-      (events ())
+      events
   in
   check_int "one event per turn" (Array.length history) (List.length turns);
   List.iteri
@@ -128,29 +123,35 @@ let test_turn_model_trace () =
 let test_unicast_trace () =
   let n = 3 and rounds = 2 in
   let proto = Unicast.lift_broadcast (const_proto "u" 1 rounds 0) in
-  let sink, events = Sink.memory () in
-  let _ =
-    Sink.with_sink sink (fun () -> Unicast.run_deterministic proto ~inputs:(inputs n))
+  let _, events =
+    Sink.capture (fun () -> Unicast.run_deterministic proto ~inputs:(inputs n))
   in
   let sends =
     List.filter
       (fun e ->
         match e.Trace.payload with Trace.Unicast_send _ -> true | _ -> false)
-      (events ())
+      events
   in
   check_int "one outbox event per sender per round" (rounds * n) (List.length sends)
 
-let test_span_and_event_helpers () =
-  let sink, events = Sink.memory () in
-  Sink.with_sink sink (fun () ->
-      Trace.span ~scope:"s" "work" (fun () ->
-          Trace.event ~scope:"s" ~fields:[ ("k", "v") ] "inner"));
-  match events () with
+(* With the profiler off, [Prof.span] still brackets its body in the
+   trace, with scope "span". *)
+let test_span_helper () =
+  let result, events =
+    Sink.capture (fun () ->
+        Prof.span "work" (fun () ->
+            Trace.emit ~scope:"s" (Trace.Finish { id = 0 });
+            7))
+  in
+  check_int "result" 7 result;
+  check_bool "sink uninstalled after" false (Trace.enabled ());
+  match events with
   | [ a; b; c ] ->
-      check_bool "start" true (a.Trace.payload = Trace.Span_start { name = "work" });
-      check_bool "mark" true
-        (b.Trace.payload = Trace.Mark { name = "inner"; fields = [ ("k", "v") ] });
-      check_bool "end" true (c.Trace.payload = Trace.Span_end { name = "work" })
+      check_bool "start" true
+        (a.Trace.payload = Trace.Span_start { name = "work" } && a.Trace.scope = "span");
+      check_bool "inner" true (b.Trace.payload = Trace.Finish { id = 0 });
+      check_bool "end" true
+        (c.Trace.payload = Trace.Span_end { name = "work" } && c.Trace.scope = "span")
   | l -> Alcotest.failf "expected 3 events, got %d" (List.length l)
 
 let test_trace_determinism () =
@@ -196,6 +197,77 @@ let test_golden_trace_digests () =
     "trace digest per protocol" golden_traces
     (List.map (fun name -> (name, digest name)) Runner.names)
 
+(* --- the span API --- *)
+
+(* A one-round protocol whose processors raise in [receive]. *)
+let raising_proto =
+  {
+    Bcast.name = "raiser";
+    msg_bits = 1;
+    rounds = 1;
+    spawn =
+      (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
+        {
+          Bcast.send = (fun ~round:_ -> 0);
+          receive = (fun ~round:_ _ -> failwith "processor fault");
+          finish = (fun () -> ());
+        });
+  }
+
+let is_span e =
+  match e.Trace.payload with
+  | Trace.Span_start _ | Trace.Span_end _ -> true
+  | _ -> false
+
+(* A run that raises closes its span in both sinks of the span API: the
+   profiler's next top-level span is not nested under it, and the trace
+   ends with the matching [Span_end]. *)
+let check_span_closes_on_raise ~span run =
+  let raises () = try run () with Failure _ -> () in
+  Prof.start ();
+  Fun.protect ~finally:Prof.reset (fun () ->
+      raises ();
+      Prof.span "after" ignore;
+      Prof.stop ();
+      let names = List.map (fun n -> n.Prof.name) (Prof.report ()).Prof.spans in
+      check_bool (span ^ " and after are siblings") true (names = [ "after"; span ]));
+  let (), events = Sink.capture raises in
+  match List.filter is_span events with
+  | [ a; b ] ->
+      check_bool "start" true (a.Trace.payload = Trace.Span_start { name = span });
+      check_bool "end" true (b.Trace.payload = Trace.Span_end { name = span })
+  | l -> Alcotest.failf "%s: expected one span pair, got %d events" span (List.length l)
+
+let test_bcast_span_closes_on_raise () =
+  check_span_closes_on_raise ~span:"bcast:raiser" (fun () ->
+      ignore (Bcast.run_deterministic raising_proto ~inputs:(inputs 3)))
+
+let test_unicast_span_closes_on_raise () =
+  check_span_closes_on_raise ~span:"unicast:raiser (lifted to unicast)" (fun () ->
+      ignore
+        (Unicast.run_deterministic (Unicast.lift_broadcast raising_proto)
+           ~inputs:(inputs 3)))
+
+(* Every simulated Runner trace is one [bcast:]/[unicast:] span around
+   the run: its first and last events, and its only span events.  The
+   turn model opens none. *)
+let test_runner_span_pairs () =
+  List.iter
+    (fun name ->
+      let events, s = Runner.trace ~name ~seed:7 in
+      let spans = List.filter is_span events in
+      if s.Runner.model = "turn" then check_int (name ^ ": no span") 0 (List.length spans)
+      else begin
+        let span = s.Runner.model ^ ":" ^ s.Runner.protocol in
+        check_int (name ^ ": one span pair") 2 (List.length spans);
+        check_bool (name ^ ": opens the trace") true
+          ((List.hd events).Trace.payload = Trace.Span_start { name = span });
+        check_bool (name ^ ": closes the trace") true
+          ((List.nth events (List.length events - 1)).Trace.payload
+          = Trace.Span_end { name = span })
+      end)
+    Runner.names
+
 (* --- JSONL and artifact round-trips --- *)
 
 let test_jsonl_roundtrip () =
@@ -218,7 +290,6 @@ let test_event_json_all_kinds () =
       Trace.Unicast_send { round = 1; sender = 0; messages = 3; msg_bits = 5 };
       Trace.Turn { turn = 7; speaker = 2; bit = true };
       Trace.Rand_draw { owner = -1; op = "bitvec"; bits = 12 };
-      Trace.Mark { name = "m"; fields = [ ("x", "1"); ("y", "z") ] };
     ]
   in
   List.iteri
@@ -297,22 +368,17 @@ let test_experiments_table_json_roundtrip () =
 
 (* --- metrics --- *)
 
-let test_metrics_counter_gauge () =
+let test_metrics_counter_kind_clash () =
   Metrics.reset ();
   let c = Metrics.counter "test_counter" in
   Metrics.inc c;
   Metrics.inc ~by:41 c;
-  let g = Metrics.gauge "test_gauge" in
-  Metrics.set g 2.5;
   let find name =
     List.find_opt (fun s -> s.Metrics.name = name) (Metrics.snapshot ())
   in
   (match find "test_counter" with
   | Some { Metrics.value = Metrics.Counter v; _ } -> check_int "counter" 42 v
   | _ -> Alcotest.fail "counter missing");
-  (match find "test_gauge" with
-  | Some { Metrics.value = Metrics.Gauge v; _ } -> checkf "gauge" 2.5 v
-  | _ -> Alcotest.fail "gauge missing");
   (* Same name, same kind: the same handle. *)
   Metrics.inc (Metrics.counter "test_counter");
   (match find "test_counter" with
@@ -321,7 +387,7 @@ let test_metrics_counter_gauge () =
   (* Same name, different kind: rejected. *)
   check_bool "kind clash" true
     (try
-       ignore (Metrics.gauge "test_counter");
+       ignore (Metrics.histogram "test_counter");
        false
      with Invalid_argument _ -> true)
 
@@ -485,9 +551,18 @@ let () =
             test_rand_draw_events_match_accounting;
           Alcotest.test_case "turn model" `Quick test_turn_model_trace;
           Alcotest.test_case "unicast" `Quick test_unicast_trace;
-          Alcotest.test_case "span/event helpers" `Quick test_span_and_event_helpers;
+          Alcotest.test_case "span helper" `Quick test_span_helper;
           Alcotest.test_case "byte-identical traces" `Quick test_trace_determinism;
           Alcotest.test_case "golden digests" `Quick test_golden_trace_digests;
+        ] );
+      ( "span API",
+        [
+          Alcotest.test_case "bcast span closes on a raise" `Quick
+            test_bcast_span_closes_on_raise;
+          Alcotest.test_case "unicast span closes on a raise" `Quick
+            test_unicast_span_closes_on_raise;
+          Alcotest.test_case "runner traces carry one span pair" `Quick
+            test_runner_span_pairs;
         ] );
       ( "serialization",
         [
@@ -502,7 +577,8 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "counter and gauge" `Quick test_metrics_counter_gauge;
+          Alcotest.test_case "counter and kind clash" `Quick
+            test_metrics_counter_kind_clash;
           Alcotest.test_case "histogram buckets" `Quick test_metrics_histogram;
           Alcotest.test_case "ratio wilson interval" `Quick test_metrics_ratio_wilson;
           Alcotest.test_case "snapshot json parses" `Quick test_metrics_json_parses;

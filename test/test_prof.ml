@@ -76,9 +76,7 @@ let test_span_exception_safe () =
 let test_disabled_paths_are_inert () =
   Prof.reset ();
   check_bool "disabled" false (Prof.enabled ());
-  Prof.enter "ignored";
   Prof.add Prof.Prng_bits 3;
-  Prof.exit ();
   check_int "span runs its body when disabled" 9 (Prof.span "s" (fun () -> 9));
   check_bool "no path when disabled" true (Prof.current_path () = []);
   let r = Prof.report () in
@@ -93,9 +91,7 @@ let test_disabled_path_no_alloc () =
   Prof.reset ();
   let body = Sys.opaque_identity (fun () -> 1) in
   let f () =
-    Prof.enter "x";
     Prof.add Prof.Word_ops 1;
-    Prof.exit ();
     ignore (Prof.span "y" body)
   in
   f ();
@@ -208,9 +204,9 @@ let test_deterministic_counter_split () =
 let test_perfetto_well_formed () =
   with_prof (fun () ->
       fanout_workload ();
-      (* Leave one span open: the exporter must synthesize its E. *)
-      Prof.enter "left-open";
-      Prof.stop ();
+      (* Leave one span open (stopping inside it skips its close): the
+         exporter must synthesize its E. *)
+      Prof.span "left-open" Prof.stop;
       let trace = Prof.to_perfetto () in
       let doc = Artifact.of_string trace in
       let events =
@@ -268,21 +264,6 @@ let test_report_artifact_envelope () =
         (Artifact.member "comparison" payload <> None);
       check_bool "telemetry present" true
         (Artifact.member "telemetry" payload <> None))
-
-let test_metrics_histogram_feed () =
-  Metrics.reset ();
-  with_prof (fun () ->
-      Prof.span "s" (fun () -> ());
-      Prof.span "s" (fun () -> ());
-      Prof.stop ();
-      match
-        List.find_opt
-          (fun s -> s.Metrics.name = "prof_span_seconds")
-          (Metrics.snapshot ())
-      with
-      | Some { Metrics.value = Metrics.Histogram { count; _ }; _ } ->
-          check_int "one observation per span exit" 2 count
-      | _ -> Alcotest.fail "prof_span_seconds histogram missing")
 
 (* The sparse pipeline's stage spans: decode, splice and build under the
    sampler call, the CSR check under the build (once: a second check_t
@@ -350,7 +331,5 @@ let () =
             test_perfetto_well_formed;
           Alcotest.test_case "artifact envelope" `Quick
             test_report_artifact_envelope;
-          Alcotest.test_case "metrics histogram feed" `Quick
-            test_metrics_histogram_feed;
         ] );
     ]
