@@ -1247,7 +1247,8 @@ module Enum = struct
       next ~flipped:(ctz j) ~index:(j lxor (j lsr 1))
     done
 
-  (* Profiler shims; charges are the scanned word counts. *)
+  (* Profiler shims; charges are the scanned word counts ([count_above]
+     scans floats, one comparison each). *)
   let count t =
     if Prof.enabled () then
       Prof.span "kern:enum.count" (fun () ->
@@ -1272,7 +1273,7 @@ module Enum = struct
   let count_above stats ~threshold =
     if Prof.enabled () then
       Prof.span "kern:enum.count_above" (fun () ->
-          Prof.add Prof.Word_ops ((Array.length stats + 63) / 64);
+          Prof.add Prof.Word_ops (Array.length stats);
           count_above stats ~threshold)
     else count_above stats ~threshold
 end

@@ -265,6 +265,16 @@ let test_report_artifact_envelope () =
       check_bool "telemetry present" true
         (Artifact.member "telemetry" payload <> None))
 
+(* [Enum.count_above] makes one float comparison per entry, and charges
+   one word_op for each. *)
+let test_count_above_charge () =
+  with_prof (fun () ->
+      let stats = Array.init 60 float_of_int in
+      check_int "hits" 30 (Bcc_kern.Enum.count_above stats ~threshold:29.5);
+      Prof.stop ();
+      let node = get_node [ "kern:enum.count_above" ] (Prof.report ()) in
+      check_int "one word_op per entry" 60 (List.assoc "word_ops" node.Prof.counters))
+
 (* The sparse pipeline's stage spans: decode, splice and build under the
    sampler call, the CSR check under the build (once: a second check_t
    of the same graph skips the scan and opens no span), and the degree
@@ -331,5 +341,10 @@ let () =
             test_perfetto_well_formed;
           Alcotest.test_case "artifact envelope" `Quick
             test_report_artifact_envelope;
+        ] );
+      ( "charges",
+        [
+          Alcotest.test_case "count_above charges its comparisons" `Quick
+            test_count_above_charge;
         ] );
     ]
