@@ -523,7 +523,7 @@ let graph_rows () =
   let counts (n, quick) =
     let graph = input (fun () -> Planted.sample_rand g n) in
     (* The core of A_rand is G(n, 1/4), the e17 counting regime. *)
-    let core = input (fun () -> Clique.bidirectional_core (graph ())) in
+    let core = input (fun () -> Digraph.bidirectional_core (graph ())) in
     let case = Printf.sprintf "n=%d" n in
     let count group naive kern =
       Row
@@ -556,7 +556,7 @@ let graph_rows () =
      so the planted clique dominates the core's natural cliques). *)
   let max_clique (n, k, quick) =
     let core =
-      input (fun () -> Clique.bidirectional_core (fst (Planted.sample_planted g ~n ~k)))
+      input (fun () -> Digraph.bidirectional_core (fst (Planted.sample_planted g ~n ~k)))
     in
     let everyone = Bitvec.ones n in
     Row
@@ -575,7 +575,7 @@ let graph_rows () =
   let bk_pivot =
     let n = 64 and k = 16 in
     let graph = input (fun () -> fst (Planted.sample_planted (Prng.create 24) ~n ~k)) in
-    let adj = input (fun () -> Clique.bidirectional_core (graph ())) in
+    let adj = input (fun () -> Digraph.bidirectional_core (graph ())) in
     Row
       {
         group = "graph-bk-pivot";

@@ -1,8 +1,3 @@
-(* One packed transpose + word-AND (Bcc_kern.Graph) instead of an O(n^2)
-   per-bit has_edge closure. *)
-(* bcc-lint: allow kern/unsafe-index — unsafe_rows exposes the backing row array without copying; it takes no index argument *)
-let bidirectional_core g = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows g)
-
 let is_clique g vs = Digraph.is_bidirectional_clique g vs
 
 (* Bron-Kerbosch with pivoting on bitset neighborhoods, running on
@@ -12,11 +7,11 @@ let is_clique g vs = Digraph.is_bidirectional_clique g vs
 let max_clique_core adj vertices = Bcc_kern.Graph.max_clique adj vertices
 
 let max_clique g =
-  let adj = bidirectional_core g in
+  let adj = Digraph.bidirectional_core g in
   max_clique_core adj (Bitvec.ones (Digraph.vertex_count g))
 
 let max_clique_of_subset g vs =
-  let adj = bidirectional_core g in
+  let adj = Digraph.bidirectional_core g in
   let mask = Bitvec.create (Digraph.vertex_count g) in
   Bitvec.set_indices mask vs;
   (* Restrict neighborhoods to the subset so the search never leaves it. *)
@@ -146,7 +141,7 @@ let find_clique_of_size adj n k =
 
 let quasi_poly_find g ~seed_size =
   let n = Digraph.vertex_count g in
-  let adj = bidirectional_core g in
+  let adj = Digraph.bidirectional_core g in
   match find_clique_of_size adj n seed_size with
   | None -> []
   | Some seed ->

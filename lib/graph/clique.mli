@@ -11,9 +11,6 @@
     Section 1.2's "Planted Clique" discussion, and the degree-counting
     baseline that succeeds once [k >> sqrt n]. *)
 
-val bidirectional_core : Digraph.t -> Bitvec.t array
-(** Row [i] has bit [j] iff both [i -> j] and [j -> i] are present. *)
-
 val max_clique : Digraph.t -> int list
 (** Maximum clique via Bron-Kerbosch with pivoting.  Exponential in the
     worst case; fast on random graphs and on the [O(n p)]-vertex active

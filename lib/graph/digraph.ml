@@ -64,6 +64,8 @@ let install_out_row g i r =
 
 let unsafe_rows g = g.adj
 
+let bidirectional_core g = Bcc_kern.Graph.bidirectional_core g.adj
+
 let out_degree g i =
   check_vertex g i;
   Bitvec.popcount g.adj.(i)

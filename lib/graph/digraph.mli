@@ -48,6 +48,11 @@ val unsafe_rows : t -> Bitvec.t array
     view ({!Bcc_kern.Graph} operates on it without per-row copies).
     Callers must not mutate the rows or the array. *)
 
+val bidirectional_core : t -> Bitvec.t array
+(** Row [i] has bit [j] iff both [i -> j] and [j -> i] are present: the
+    undirected graph the clique, triangle and Hamiltonicity code runs
+    on, built by the packed {!Bcc_kern.Graph.bidirectional_core}. *)
+
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
 

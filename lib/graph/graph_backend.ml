@@ -28,10 +28,10 @@ module Dense = struct
     Array.init (Digraph.vertex_count g) (fun i ->
         Digraph.out_degree g i + Digraph.in_degree g i)
 
-  (* bcc-lint: allow kern/unsafe-index — unsafe_rows exposes the backing row array without copying; it takes no index argument *)
-  let core g = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows g)
-  let count_triangles g = Bcc_kern.Graph.count_triangles (core g)
-  let count_k4 g = Bcc_kern.Graph.count_k4 (core g)
+  let count_triangles g =
+    Bcc_kern.Graph.count_triangles (Digraph.bidirectional_core g)
+
+  let count_k4 g = Bcc_kern.Graph.count_k4 (Digraph.bidirectional_core g)
 end
 
 module Sparse_backend = struct

@@ -39,8 +39,8 @@ end
 module Dense : S with type t = Digraph.t
 (** The bit-matrix backend: degree sums by row popcount + column scan,
     mutual neighbours by an out-row scan with a reverse-edge test,
-    core/triangles/K4 via the packed {!Bcc_kern.Graph} kernels on
-    [Clique.bidirectional_core]'s core. *)
+    triangles/K4 via the packed {!Bcc_kern.Graph} kernels on
+    [Digraph.bidirectional_core]. *)
 
 module Sparse_backend : S with type t = Sparse.t
 (** The CSR backend: merge/gallop row ops and the sharded

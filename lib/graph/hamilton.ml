@@ -34,7 +34,7 @@ let find_cycle g graph ~max_steps =
   let n = Digraph.vertex_count graph in
   if n = 0 then Some [||]
   else begin
-    let adj = Clique.bidirectional_core graph in
+    let adj = Digraph.bidirectional_core graph in
     let path = Array.make n (-1) in
     let pos = Array.make n (-1) in
     let len = ref 1 in

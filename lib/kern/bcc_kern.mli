@@ -143,7 +143,7 @@ module Graph : sig
   val bidirectional_core : Bitvec.t array -> Bitvec.t array
   (** [A land A^T] (row [i] bit [j] iff both [i -> j] and [j -> i]) as one
       64x64 block transpose plus a word-AND pass — behind
-      [Clique.bidirectional_core]. *)
+      [Digraph.bidirectional_core]. *)
 
   val max_clique : Bitvec.t array -> Bitvec.t -> int list
   (** Maximum clique of the undirected adjacency [adj] restricted to the

@@ -178,7 +178,8 @@ let popcount_and2_above a b ~above =
     (Bitvec.logand (Bitvec.logand a b) (Bitvec.init n (fun u -> u > above)))
 
 (* Per-bit core: row i bit j iff both directions present — the closure
-   the pre-kernel Clique.bidirectional_core built per entry. *)
+   the pre-kernel bidirectional core (now Digraph.bidirectional_core)
+   built per entry. *)
 let bidirectional_core rows =
   let n = Array.length rows in
   Array.init n (fun i ->

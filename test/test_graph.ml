@@ -276,7 +276,7 @@ let prop_bidirectional_core_symmetric =
     (fun seed ->
       let g = Prng.create seed in
       let graph = Planted.sample_rand g 12 in
-      let core = Clique.bidirectional_core graph in
+      let core = Digraph.bidirectional_core graph in
       let ok = ref true in
       for i = 0 to 11 do
         for j = 0 to 11 do

@@ -139,7 +139,7 @@ let test_core_matches_has_edge_closure () =
   let g = Prng.create 202 in
   let n = 65 in
   let graph = Planted.sample_rand g n in
-  let core = Clique.bidirectional_core graph in
+  let core = Digraph.bidirectional_core graph in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       check_bool
@@ -172,7 +172,7 @@ let test_counts_on_complete_graph () =
   List.iter
     (fun n ->
       let graph = Gnp.sample_fast (Prng.create 204) ~n ~p:1.0 in
-      let core = Clique.bidirectional_core graph in
+      let core = Digraph.bidirectional_core graph in
       check_int
         (Printf.sprintf "triangles K%d" n)
         (n * (n - 1) * (n - 2) / 6)
@@ -202,7 +202,7 @@ let test_max_clique_vs_ref_planted () =
   List.iter
     (fun (n, k) ->
       let graph, clique = Planted.sample_planted g ~n ~k in
-      let core = Clique.bidirectional_core graph in
+      let core = Digraph.bidirectional_core graph in
       let everyone = Bitvec.ones n in
       let got = Bcc_kern.Graph.max_clique core everyone in
       check_bool
@@ -222,7 +222,7 @@ let test_max_clique_of_subset_vs_ref () =
   let g = Prng.create 207 in
   let n = 96 in
   let graph, _ = Planted.sample_planted g ~n ~k:20 in
-  let core = Clique.bidirectional_core graph in
+  let core = Digraph.bidirectional_core graph in
   for trial = 1 to 5 do
     let vs = Prng.subset g ~n ~k:40 in
     let mask = Bitvec.create n in
