@@ -182,15 +182,15 @@ let golden_traces =
     ("turn-majority", "674ccfba7799d5aec5bb13f7e6639841");
   ]
 
+let is_span e =
+  match e.Trace.payload with
+  | Trace.Span_start _ | Trace.Span_end _ -> true
+  | _ -> false
+
 let test_golden_trace_digests () =
   let digest name =
     let events, _ = Runner.trace ~name ~seed:7 in
-    List.filter
-      (fun e ->
-        match e.Trace.payload with
-        | Trace.Span_start _ | Trace.Span_end _ -> false
-        | _ -> true)
-      events
+    List.filter (fun e -> not (is_span e)) events
     |> Sink.to_jsonl |> Digest.string |> Digest.to_hex
   in
   Alcotest.(check (list (pair string string)))
@@ -214,14 +214,9 @@ let raising_proto =
         });
   }
 
-let is_span e =
-  match e.Trace.payload with
-  | Trace.Span_start _ | Trace.Span_end _ -> true
-  | _ -> false
-
-(* A run that raises closes its span in both sinks of the span API: the
-   profiler's next top-level span is not nested under it, and the trace
-   ends with the matching [Span_end]. *)
+(* A run that raises closes its span in the profile and in the trace:
+   the profiler's next top-level span is not nested under it, and the
+   trace ends with the matching [Span_end]. *)
 let check_span_closes_on_raise ~span run =
   let raises () = try run () with Failure _ -> () in
   Prof.start ();
