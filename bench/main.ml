@@ -522,6 +522,7 @@ let graph_rows () =
   let g = Prng.create 2026 in
   let counts (n, quick) =
     let graph = input (fun () -> Planted.sample_rand g n) in
+    let rows = input (fun () -> Array.init n (Digraph.out_row (graph ()))) in
     (* The core of A_rand is G(n, 1/4), the e17 counting regime. *)
     let core = input (fun () -> Digraph.bidirectional_core (graph ())) in
     let case = Printf.sprintf "n=%d" n in
@@ -541,9 +542,8 @@ let graph_rows () =
         {
           group = "graph-core";
           case;
-          naive = (fun () -> Oracle.bidirectional_core (Digraph.unsafe_rows (graph ())));
-          kern =
-            (fun () -> Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows (graph ())));
+          naive = (fun () -> Oracle.bidirectional_core (rows ()));
+          kern = (fun () -> Digraph.bidirectional_core (graph ()));
           equal =
             (fun a b -> Array.length a = Array.length b && Array.for_all2 Bitvec.equal a b);
           quick;
@@ -644,9 +644,7 @@ let sparse_rows () =
       let case = Printf.sprintf "n=%d,p=1/%d" n (int_of_float (1.0 /. p)) in
       let dg = input (fun () -> Gnp.sample_fast (Prng.create 31) ~n ~p) in
       let sg = input (fun () -> Sparse.sample_gnp (Prng.create 31) ~n ~p) in
-      let dcore =
-        input (fun () -> Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows (dg ())))
-      in
+      let dcore = input (fun () -> Digraph.bidirectional_core (dg ())) in
       let score = input (fun () -> Bcc_kern.Spgraph.bidirectional_core (sg ())) in
       let count group dense sparse =
         Row
@@ -673,8 +671,7 @@ let sparse_rows () =
           {
             group = "sparse-core";
             case;
-            naive =
-              (fun () -> Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows (dg ())));
+            naive = (fun () -> Digraph.bidirectional_core (dg ()));
             kern = (fun () -> Bcc_kern.Spgraph.bidirectional_core (sg ()));
             equal = spgraph_matches_rows;
             quick;

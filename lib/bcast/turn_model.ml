@@ -52,10 +52,3 @@ let consistent_inputs proto ~id ~history ~upto_turn candidates =
 let acceptance_probability proto ~accept input_dist =
   Dist.expectation input_dist (fun inputs ->
       if accept (run proto ~inputs) then 1.0 else 0.0)
-
-let sampled_acceptance proto ~accept ~sample ~samples g =
-  let hits = ref 0 in
-  for _ = 1 to samples do
-    if accept (run proto ~inputs:(sample g)) then incr hits
-  done;
-  float_of_int !hits /. float_of_int samples

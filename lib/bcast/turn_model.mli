@@ -46,11 +46,3 @@ val acceptance_probability :
   protocol -> accept:(bool array -> bool) -> Bitvec.t array Dist.t -> float
 (** Probability the transcript predicate accepts under the input
     distribution (exact). *)
-
-val sampled_acceptance :
-  protocol ->
-  accept:(bool array -> bool) ->
-  sample:(Prng.t -> Bitvec.t array) ->
-  samples:int ->
-  Prng.t ->
-  float

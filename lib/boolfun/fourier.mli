@@ -20,9 +20,10 @@ val wht_inplace : float array -> unit
 
 val transform : Boolfun.t -> float array
 (** All Fourier coefficients: [ (transform f).(s) = f^(S) ] with the
-    normalization [E_x], i.e. divided by [2^n].  Computed by the
-    integer-accumulator WHT on the 0/1 table — exact, and bit-identical
-    to the float butterfly. *)
+    normalization [E_x], i.e. divided by [2^n].  Computed by the float
+    WHT on the 0/1 table, whose intermediates are all integers of
+    magnitude at most [2^n] — exact, and bit-identical to the plain
+    butterfly. *)
 
 val popcount_parity : int -> bool
 (** Parity of the population count of any 63-bit int (16-bit-table

@@ -59,8 +59,6 @@ let log2 x = Float.log x /. Float.log 2.0
 
 let deficit d = float_of_int d.n -. log2 (float_of_int d.count)
 
-let entropy_gap_z = deficit
-
 let forced_ones d coords =
   let mask =
     List.fold_left

@@ -42,9 +42,5 @@ val coordinate_entropy : t -> int -> float
 val coordinate_one_prob : t -> int -> float
 (** [Pr_{X ~ U_D} [X_j = 1]]. *)
 
-val entropy_gap_z : t -> float
-(** [Z = (n − |forced|) − log2 |D|] specialised to no forced coordinates:
-    here simply {!deficit}.  Exposed for the subset-tree simulation. *)
-
 val elements : t -> int list
 (** Members by integer encoding, increasing. *)

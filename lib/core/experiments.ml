@@ -1572,37 +1572,6 @@ let to_json t =
       ("notes", strings t.notes);
     ]
 
-let of_json j =
-  let strings field =
-    match Option.bind (Artifact.member field j) Artifact.to_list_opt with
-    | Some items ->
-        let l = List.filter_map Artifact.to_string_opt items in
-        if List.length l = List.length items then Some l else None
-    | None -> None
-  in
-  match
-    ( Option.bind (Artifact.member "id" j) Artifact.to_string_opt,
-      Option.bind (Artifact.member "title" j) Artifact.to_string_opt,
-      strings "columns",
-      Option.bind (Artifact.member "rows" j) Artifact.to_list_opt,
-      strings "notes" )
-  with
-  | Some id, Some title, Some columns, Some row_items, Some notes ->
-      let rows =
-        List.filter_map
-          (fun r ->
-            match Artifact.to_list_opt r with
-            | Some cells ->
-                let s = List.filter_map Artifact.to_string_opt cells in
-                if List.length s = List.length cells then Some s else None
-            | None -> None)
-          row_items
-      in
-      if List.length rows = List.length row_items then
-        Some { id; title; columns; rows; notes }
-      else None
-  | _ -> None
-
 let artifact ?seed t =
   Artifact.make ~kind:"experiment" ~id:t.id ?seed
     ~params:

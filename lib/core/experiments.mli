@@ -28,9 +28,6 @@ val to_csv : table -> string
 val to_json : table -> Artifact.json
 (** The structured form of a table (id, title, columns, rows, notes). *)
 
-val of_json : Artifact.json -> table option
-(** Inverse of {!to_json}; [None] if the value is not a table. *)
-
 val artifact : ?seed:int -> table -> Artifact.json
 (** {!to_json} wrapped in the artifact envelope (schema version, seed,
     row/column counts, git describe). *)

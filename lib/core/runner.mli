@@ -42,6 +42,5 @@ val trace : name:string -> seed:int -> Trace.event list * summary
 val summary_to_json : summary -> Artifact.json
 
 val trace_artifact : name:string -> seed:int -> Artifact.json
-(** The full trace as an artifact: envelope + summary + events.  Feeding
-    it back through [Artifact.of_string] and [Sink.event_of_json]
-    reconstructs the run exactly. *)
+(** The full trace as an artifact: envelope + summary + events, each
+    event as [Sink.event_to_json] encodes it. *)

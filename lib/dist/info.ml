@@ -13,8 +13,6 @@ let binary_entropy_inv_gap p =
 let marginal_x joint = Dist.map fst joint
 let marginal_y joint = Dist.map snd joint
 
-let joint_entropy joint = Dist.entropy joint
-
 let conditional_entropy joint =
   (* H(Y|X) = H(X,Y) - H(X). *)
   Dist.entropy joint -. Dist.entropy (marginal_x joint)

@@ -14,8 +14,6 @@ val binary_entropy_inv_gap : float -> float
     This evaluates that ratio (caller guards the precondition; [p = 1/2]
     yields the limit value [2 / ln 2 ≈ 2.885]). *)
 
-val joint_entropy : ('a * 'b) Dist.t -> float
-
 val marginal_x : ('a * 'b) Dist.t -> 'a Dist.t
 val marginal_y : ('a * 'b) Dist.t -> 'b Dist.t
 

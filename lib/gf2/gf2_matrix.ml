@@ -26,8 +26,6 @@ let of_rows rows_arr =
 let random g ~rows ~cols =
   { nrows = rows; ncols = cols; data = Array.init rows (fun _ -> Prng.bitvec g cols) }
 
-let copy m = { m with data = Array.map Bitvec.copy m.data }
-
 let rows m = m.nrows
 let cols m = m.ncols
 
@@ -52,16 +50,6 @@ let add a b =
 
 let equal a b =
   a.nrows = b.nrows && a.ncols = b.ncols && Array.for_all2 Bitvec.equal a.data b.data
-
-(* Row-vector times matrix: accumulate the rows of [m] selected by the set
-   bits of [x] into [acc], which must be all-zeros of length [cols m] —
-   the allocation-free core the PRG expansion batches over. *)
-let vec_mul_into acc x m =
-  if Bitvec.length x <> m.nrows then
-    invalid_arg "Gf2_matrix.vec_mul_into: dimension mismatch";
-  if Bitvec.length acc <> m.ncols then
-    invalid_arg "Gf2_matrix.vec_mul_into: accumulator length mismatch";
-  Bitvec.iter_set (fun i -> Bitvec.xor_inplace acc m.data.(i)) x
 
 let vec_mul x m =
   if Bitvec.length x <> m.nrows then invalid_arg "Gf2_matrix.vec_mul: dimension mismatch";
@@ -236,9 +224,3 @@ let random_of_rank_at_most g ~n ~r =
   let l = random g ~rows:n ~cols:r in
   let right = random g ~rows:r ~cols:n in
   mul l right
-
-let pp fmt m =
-  for i = 0 to m.nrows - 1 do
-    if i > 0 then Format.pp_print_newline fmt ();
-    Bitvec.pp fmt m.data.(i)
-  done

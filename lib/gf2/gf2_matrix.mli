@@ -18,7 +18,6 @@ val of_rows : Bitvec.t array -> t
 (** Rows are copied; they must all have the same length. *)
 
 val random : Prng.t -> rows:int -> cols:int -> t
-val copy : t -> t
 
 (** {1 Access} *)
 
@@ -41,11 +40,6 @@ val mul : t -> t -> t
 val vec_mul : Bitvec.t -> t -> Bitvec.t
 (** [vec_mul x m] is the row-vector product [x^T M] — the PRG expansion map
     of Theorem 1.3.  [Bitvec.length x = rows m]. *)
-
-val vec_mul_into : Bitvec.t -> Bitvec.t -> t -> unit
-(** [vec_mul_into acc x m] accumulates [x^T M] into [acc] (all-zeros, of
-    length [cols m]) without allocating — the reusable-scratch form of
-    {!vec_mul} for hot loops. *)
 
 val mul_vec : t -> Bitvec.t -> Bitvec.t
 (** [mul_vec m x] is [M x]. *)
@@ -90,5 +84,3 @@ val inverse : t -> t option
 val random_of_rank_at_most : Prng.t -> n:int -> r:int -> t
 (** An [n*n] matrix sampled as [L*R] with [L] uniform [n*r] and [R] uniform
     [r*n]; its rank is at most [r]. *)
-
-val pp : Format.formatter -> t -> unit

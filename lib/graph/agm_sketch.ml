@@ -42,8 +42,6 @@ let create p =
   let nlevels = levels p in
   { p; nlevels; xor_ids = Array.make nlevels 0; xor_chks = Array.make nlevels 0 }
 
-let params_of s = s.p
-
 let add s i =
   if i < 0 || i >= s.p.universe then invalid_arg "Agm_sketch.add: coordinate out of range";
   let top = min (top_level s.p i) (s.nlevels - 1) in
@@ -58,8 +56,6 @@ let xor_inplace dst src =
     dst.xor_ids.(l) <- dst.xor_ids.(l) lxor src.xor_ids.(l);
     dst.xor_chks.(l) <- dst.xor_chks.(l) lxor src.xor_chks.(l)
   done
-
-let copy s = { s with xor_ids = Array.copy s.xor_ids; xor_chks = Array.copy s.xor_chks }
 
 let recover s =
   let result = ref None in

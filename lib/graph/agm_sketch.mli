@@ -23,7 +23,6 @@ type t
 val create : params -> t
 (** The sketch of the zero vector. *)
 
-val params_of : t -> params
 val levels : params -> int
 (** [ceil(log2 universe) + 2] subsampling levels. *)
 
@@ -34,8 +33,6 @@ val add : t -> int -> unit
 val xor_inplace : t -> t -> unit
 (** [xor_inplace dst src]: linearity — dst becomes the sketch of the XOR
     of the two vectors.  Same params required. *)
-
-val copy : t -> t
 
 val recover : t -> int option
 (** A coordinate of the sketched vector, if some level is 1-sparse and

@@ -1,5 +1,3 @@
-let is_clique g vs = Digraph.is_bidirectional_clique g vs
-
 (* Bron-Kerbosch with pivoting on bitset neighborhoods, running on
    Bcc_kern.Graph's scratch stack (per-depth buffers, no allocation per
    node); same traversal and result as the allocating oracle version

@@ -20,8 +20,6 @@ val max_clique_of_subset : Digraph.t -> int list -> int list
 (** Maximum clique of the induced (bidirectional) subgraph on the given
     vertices. *)
 
-val is_clique : Digraph.t -> int list -> bool
-
 val greedy_clique : Prng.t -> Digraph.t -> int list
 (** Randomized greedy: repeatedly add a random vertex adjacent (both
     directions) to all chosen so far. *)

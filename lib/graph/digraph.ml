@@ -62,8 +62,6 @@ let install_out_row g i r =
   Bitvec.set r i false;
   g.adj.(i) <- r
 
-let unsafe_rows g = g.adj
-
 let bidirectional_core g = Bcc_kern.Graph.bidirectional_core g.adj
 
 let out_degree g i =

@@ -43,11 +43,6 @@ val install_out_row : t -> int -> Bitvec.t -> unit
     copying it (the diagonal bit is still cleared); the caller must not
     use the row afterwards.  For samplers that build each row once. *)
 
-val unsafe_rows : t -> Bitvec.t array
-(** The live adjacency rows, shared with the graph — the packed-kernel
-    view ({!Bcc_kern.Graph} operates on it without per-row copies).
-    Callers must not mutate the rows or the array. *)
-
 val bidirectional_core : t -> Bitvec.t array
 (** Row [i] has bit [j] iff both [i -> j] and [j -> i] are present: the
     undirected graph the clique, triangle and Hamiltonicity code runs

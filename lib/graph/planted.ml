@@ -36,8 +36,6 @@ let sample_instance g ~n ~k =
     Planted (graph, c)
   end
 
-let graph_of_instance = function Uniform g -> g | Planted (g, _) -> g
-
 let is_planted = function Uniform _ -> false | Planted _ -> true
 
 let interesting_k_range n =

@@ -25,7 +25,6 @@ type instance =
 
 val sample_instance : Prng.t -> n:int -> k:int -> instance
 
-val graph_of_instance : instance -> Digraph.t
 val is_planted : instance -> bool
 
 val interesting_k_range : int -> int * int

@@ -23,12 +23,6 @@ let of_weights m =
   done;
   { n; w }
 
-let size t = t.n
-
-let weight t i j =
-  if i < 0 || i >= t.n || j < 0 || j >= t.n then invalid_arg "Wgraph.weight";
-  t.w.(i).(j)
-
 (* Prim with O(n^2) dense scan — right for complete graphs. *)
 let mst t =
   if t.n <= 1 then []

@@ -18,9 +18,6 @@ val random : Prng.t -> int -> t
 val of_weights : float array array -> t
 (** Symmetrized copy of the given matrix (upper triangle wins). *)
 
-val size : t -> int
-val weight : t -> int -> int -> float
-
 val mst : t -> (int * int) list
 (** Prim's algorithm: the n-1 tree edges, each as [(lo, hi)]. *)
 

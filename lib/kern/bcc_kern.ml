@@ -7,12 +7,13 @@
    flat word buffers packed from Bitvec rows, [Enum] on packed truth
    tables (64 inputs per word), [Wht] on in-place butterfly arrays.
 
-   Hot storage is [Buf]: Bigarray-backed int64/float64 buffers.  An OCaml
-   [int64 array] holds pointers to boxed elements, so every store in an
-   inner loop costs a minor-heap allocation plus a GC write barrier; a
-   typed [Bigarray.Array1] gives unboxed monomorphic loads and stores the
-   GC never scans.  The packed GF(2) words and the Bron-Kerbosch scratch
-   stack live on [Buf.i64] for exactly this reason (docs/PERFORMANCE.md).
+   Hot storage is [Buf]: Bigarray-backed int64 and native-int buffers.
+   An OCaml [int64 array] holds pointers to boxed elements, so every
+   store in an inner loop costs a minor-heap allocation plus a GC write
+   barrier; a typed [Bigarray.Array1] gives unboxed monomorphic loads and
+   stores the GC never scans.  The packed GF(2) words and the
+   Bron-Kerbosch scratch stack live on [Buf.i64] for exactly this reason
+   (docs/PERFORMANCE.md).
 
    The naive implementations (per-bit, per-input) live outside the
    library, in test/oracle: every kernel is property-tested against its
@@ -38,10 +39,9 @@ module Buf = struct
      barrier, nothing for the minor GC to do.  Accessors are unchecked by
      design (these are the innermost loops); every caller owns its
      indices, and the word-boundary property tests pin the semantics
-     against the [Bitvec]/[float array] oracles. *)
+     against the [Bitvec] oracles. *)
 
   type i64 = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-  type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   (* Native-int buffers (the CSR column arrays): [Bigarray.int] elements
      are unboxed 63-bit ints, so — unlike int32/int64 kinds — loads need
@@ -67,37 +67,17 @@ module Buf = struct
   let int_create_uninit n : ints =
     Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
-  let f64_create n : f64 =
-    let b = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout n in
-    Bigarray.Array1.fill b 0.0;
-    b
-
   (* Monomorphic re-declarations of the Bigarray primitives: with the
      kind and layout pinned in the type, every call site compiles to a
      direct unboxed load/store even without flambda — going through a
      [let]-bound wrapper instead costs a call plus a boxed [Int64] per
      access (~8x on the xor kernel). *)
   external i64_length : i64 -> int = "%caml_ba_dim_1"
-  external f64_length : f64 -> int = "%caml_ba_dim_1"
   external int_length : ints -> int = "%caml_ba_dim_1"
   external i64_get : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
   external i64_set : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
-  external f64_get : f64 -> int -> float = "%caml_ba_unsafe_ref_1"
-  external f64_set : f64 -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   external int_get : ints -> int -> int = "%caml_ba_unsafe_ref_1"
   external int_set : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
-  (* bcc-lint: noalloc *)
-  let i64_fill (b : i64) v = Bigarray.Array1.fill b v
-
-  (* bcc-lint: noalloc *)
-  let f64_fill (b : f64) v = Bigarray.Array1.fill b v
-
-  (* Whole-buffer no-alloc blits (Bigarray memcpy; lengths must match). *)
-  (* bcc-lint: noalloc *)
-  let i64_blit ~(src : i64) ~(dst : i64) = Bigarray.Array1.blit src dst
-
-  (* bcc-lint: noalloc *)
-  let f64_blit ~(src : f64) ~(dst : f64) = Bigarray.Array1.blit src dst
 
   let i64_copy (b : i64) =
     let c =
@@ -107,15 +87,7 @@ module Buf = struct
     Bigarray.Array1.blit b c;
     c
 
-  let i64_of_array a =
-    Bigarray.Array1.of_array Bigarray.int64 Bigarray.c_layout a
-
-  let f64_of_array a =
-    Bigarray.Array1.of_array Bigarray.float64 Bigarray.c_layout a
-
   let int_of_array a = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout a
-  let i64_to_array (b : i64) = Array.init (i64_length b) (Bigarray.Array1.get b)
-  let f64_to_array (b : f64) = Array.init (f64_length b) (Bigarray.Array1.get b)
   let int_to_array (b : ints) = Array.init (int_length b) (Bigarray.Array1.get b)
 end
 
@@ -147,16 +119,6 @@ module Gf2 = struct
           Bitvec.set_word v j (Buf.i64_get p.words ((i * p.stride) + j))
         done;
         v)
-
-  let get p i j =
-    if i < 0 || i >= p.rows || j < 0 || j >= p.cols then
-      invalid_arg "Bcc_kern.Gf2.get";
-    Int64.logand
-      (Int64.shift_right_logical
-         (Buf.i64_get p.words ((i * p.stride) + (j lsr 6)))
-         (j land 63))
-      1L
-    = 1L
 
   (* In-place transpose of a 64x64 bit block (one int64 per row, bit [c]
      of row [r] = element (r, c)): recursive block swaps at strides
@@ -1135,14 +1097,6 @@ module Enum = struct
   let set_bit words x =
     words.(x lsr 6) <- Int64.logor words.(x lsr 6) (Int64.shift_left 1L (x land 63))
 
-  let pack n f =
-    check_arity n;
-    let words = Array.make (word_count n) 0L in
-    for x = 0 to (1 lsl n) - 1 do
-      if f x then set_bit words x
-    done;
-    { n; words }
-
   let of_bytes n bytes =
     check_arity n;
     if Bytes.length bytes <> 1 lsl n then
@@ -1294,31 +1248,15 @@ module Wht = struct
 
   (* One contiguous run of butterfly pairs: every j in [lo, hi) is a
      lower-half index (the caller guarantees [lo, hi) stays inside one
-     half), paired with j + h.  Unsafe accesses: the drivers below only
+     half), paired with j + h.  Unsafe accesses: the driver below only
      pass ranges with hi - 1 + h < length a. *)
   (* bcc-lint: allow kern/unsafe-index — driver contract: [lo, hi) is a lower-half range with hi - 1 + h < length a *)
+  (* bcc-lint: noalloc *)
   let pairs_float a ~h ~lo ~hi =
     for j = lo to hi - 1 do
       let x = Array.unsafe_get a j and y = Array.unsafe_get a (j + h) in
       Array.unsafe_set a j (x +. y);
       Array.unsafe_set a (j + h) (x -. y)
-    done
-
-  (* bcc-lint: allow kern/unsafe-index — driver contract: [lo, hi) is a lower-half range with hi - 1 + h < length a *)
-  let pairs_int a ~h ~lo ~hi =
-    for j = lo to hi - 1 do
-      let x = Array.unsafe_get a j and y = Array.unsafe_get a (j + h) in
-      Array.unsafe_set a j (x + y);
-      Array.unsafe_set a (j + h) (x - y)
-    done
-
-  (* bcc-lint: allow kern/unsafe-index — driver contract: [lo, hi) is a lower-half range with hi - 1 + h < length a *)
-  (* bcc-lint: noalloc *)
-  let pairs_f64 (a : Buf.f64) ~h ~lo ~hi =
-    for j = lo to hi - 1 do
-      let x = Buf.f64_get a j and y = Buf.f64_get a (j + h) in
-      Buf.f64_set a j (x +. y);
-      Buf.f64_set a (j + h) (x -. y)
     done
 
   (* Two fused butterfly stages (h, then 2h) in one memory pass: every j
@@ -1328,6 +1266,7 @@ module Wht = struct
      pairings — so the floats are bit-identical to running the stages
      separately; only the loads and stores are halved. *)
   (* bcc-lint: allow kern/unsafe-index — driver contract: [lo, hi) is a lower-quarter range with hi - 1 + 3h < length a *)
+  (* bcc-lint: noalloc *)
   let quads_float a ~h ~lo ~hi =
     let h2 = 2 * h and h3 = 3 * h in
     for j = lo to hi - 1 do
@@ -1343,44 +1282,9 @@ module Wht = struct
       Array.unsafe_set a (j + h3) (d01 -. d23)
     done
 
-  (* bcc-lint: allow kern/unsafe-index — driver contract: [lo, hi) is a lower-quarter range with hi - 1 + 3h < length a *)
-  let quads_int a ~h ~lo ~hi =
-    let h2 = 2 * h and h3 = 3 * h in
-    for j = lo to hi - 1 do
-      let x0 = Array.unsafe_get a j
-      and x1 = Array.unsafe_get a (j + h)
-      and x2 = Array.unsafe_get a (j + h2)
-      and x3 = Array.unsafe_get a (j + h3) in
-      let s01 = x0 + x1 and d01 = x0 - x1 in
-      let s23 = x2 + x3 and d23 = x2 - x3 in
-      Array.unsafe_set a j (s01 + s23);
-      Array.unsafe_set a (j + h) (d01 + d23);
-      Array.unsafe_set a (j + h2) (s01 - s23);
-      Array.unsafe_set a (j + h3) (d01 - d23)
-    done
-
-  (* bcc-lint: allow kern/unsafe-index — driver contract: [lo, hi) is a lower-quarter range with hi - 1 + 3h < length a *)
-  (* bcc-lint: noalloc *)
-  let quads_f64 (a : Buf.f64) ~h ~lo ~hi =
-    let h2 = 2 * h and h3 = 3 * h in
-    for j = lo to hi - 1 do
-      let x0 = Buf.f64_get a j
-      and x1 = Buf.f64_get a (j + h)
-      and x2 = Buf.f64_get a (j + h2)
-      and x3 = Buf.f64_get a (j + h3) in
-      let s01 = x0 +. x1 and d01 = x0 -. x1 in
-      let s23 = x2 +. x3 and d23 = x2 -. x3 in
-      Buf.f64_set a j (s01 +. s23);
-      Buf.f64_set a (j + h) (d01 +. d23);
-      Buf.f64_set a (j + h2) (s01 -. s23);
-      Buf.f64_set a (j + h3) (d01 -. d23)
-    done
-
   (* All stages with h < hi - lo, confined to [lo, hi): radix-4 double
      stages, with one radix-2 stage peeled at h = 1 when the stage count
-     is odd so the rest pair up exactly.  Monomorphic per element type so
-     the inner loop stays a direct tight loop (a closure parameter here
-     costs ~20% at small sizes). *)
+     is odd so the rest pair up exactly. *)
   (* bcc-lint: allow kern/unsafe-index — caller contract: [lo, hi) is a power-of-two block inside a; every stage keeps j + offset < hi <= length a *)
   let seq_float a lo hi =
     let size = hi - lo in
@@ -1405,64 +1309,17 @@ module Wht = struct
       h := 4 * hh
     done
 
-  (* bcc-lint: allow kern/unsafe-index — caller contract: [lo, hi) is a power-of-two block inside a; every stage keeps j + offset < hi <= length a *)
-  let seq_int a lo hi =
-    let size = hi - lo in
-    let h = ref 1 in
-    if size > 1 && ctz size land 1 = 1 then begin
-      let j = ref lo in
-      while !j < hi do
-        let x = Array.unsafe_get a !j and y = Array.unsafe_get a (!j + 1) in
-        Array.unsafe_set a !j (x + y);
-        Array.unsafe_set a (!j + 1) (x - y);
-        j := !j + 2
-      done;
-      h := 2
-    end;
-    while !h < size do
-      let hh = !h in
-      let i = ref lo in
-      while !i < hi do
-        quads_int a ~h:hh ~lo:!i ~hi:(!i + hh);
-        i := !i + (4 * hh)
-      done;
-      h := 4 * hh
-    done
-
-  (* bcc-lint: allow kern/unsafe-index — caller contract: [lo, hi) is a power-of-two block inside a; every stage keeps j + offset < hi <= length a *)
-  let seq_f64 (a : Buf.f64) lo hi =
-    let size = hi - lo in
-    let h = ref 1 in
-    if size > 1 && ctz size land 1 = 1 then begin
-      let j = ref lo in
-      while !j < hi do
-        let x = Buf.f64_get a !j and y = Buf.f64_get a (!j + 1) in
-        Buf.f64_set a !j (x +. y);
-        Buf.f64_set a (!j + 1) (x -. y);
-        j := !j + 2
-      done;
-      h := 2
-    end;
-    while !h < size do
-      let hh = !h in
-      let i = ref lo in
-      while !i < hi do
-        quads_f64 a ~h:hh ~lo:!i ~hi:(!i + hh);
-        i := !i + (4 * hh)
-      done;
-      h := 4 * hh
-    done
-
-  (* Shared driver: stage [h] pairs index j with j+h; distinct pairs (and
+  (* The driver: stage [h] pairs index j with j+h; distinct pairs (and
      distinct radix-4 quads) are elementwise disjoint, so cache-blocking
      and domain-partitioning only reorder independent updates — results
      are identical to the plain doubling loop for every BCC_DOMAINS (the
      pool itself falls back to a sequential loop when nested or traced).
      Stage fusion changes no values either: the radix-4 quads compute the
      two stages' exact expressions. *)
-  let blocked ~pairs ~quads ~seq ~len:n a =
+  let blocked a =
+    let n = Array.length a in
     check_pow2 n;
-    if n < par_threshold then seq a 0 n
+    if n < par_threshold then seq_float a 0 n
     else begin
       (* Phase 1: every stage with h < block stays inside one L1-sized
          block; blocks are independent and fan out across domains. *)
@@ -1470,7 +1327,7 @@ module Wht = struct
       ignore
         (Par.map_array
            (fun b ->
-             seq a (b * block) ((b + 1) * block);
+             seq_float a (b * block) ((b + 1) * block);
              0)
            (Array.init nb (fun b -> b)));
       (* Phase 2: the outer stages, two at a time as radix-4 double
@@ -1486,7 +1343,7 @@ module Wht = struct
           (Par.map_array
              (fun b ->
                let lo = b * 2 * hh in
-               pairs a ~h:hh ~lo ~hi:(lo + hh);
+               pairs_float a ~h:hh ~lo ~hi:(lo + hh);
                0)
              (Array.init nblocks (fun b -> b)));
         h := 2 * hh
@@ -1500,27 +1357,14 @@ module Wht = struct
              (fun t ->
                let b = t / chunks_per_block and c = t mod chunks_per_block in
                let lo = (b * 4 * hh) + (c * block) in
-               quads a ~h:hh ~lo ~hi:(lo + block);
+               quads_float a ~h:hh ~lo ~hi:(lo + block);
                0)
              (Array.init (nblocks * chunks_per_block) (fun t -> t)));
         h := 4 * hh
       done
     end
 
-  let inplace_float a =
-    blocked ~pairs:pairs_float ~quads:quads_float ~seq:seq_float
-      ~len:(Array.length a) a
-
-  let inplace_int a =
-    blocked ~pairs:pairs_int ~quads:quads_int ~seq:seq_int
-      ~len:(Array.length a) a
-
-  (* bcc-lint: noalloc *)
-  let inplace_f64 a =
-    blocked ~pairs:pairs_f64 ~quads:quads_f64 ~seq:seq_f64
-      ~len:(Buf.f64_length a) a
-
-  (* Profiler shims; a length-n transform is n*log2(n) butterflies.  The
+  (* Profiler shim; a length-n transform is n*log2(n) butterflies.  The
      internal Par fan-out (len >= par_threshold) nests under this span
      via the pool's context propagation. *)
   let butterflies n = if n <= 1 then 0 else n * ctz n
@@ -1529,20 +1373,6 @@ module Wht = struct
     if Prof.enabled () then
       Prof.span "kern:wht.inplace_float" (fun () ->
           Prof.add Prof.Word_ops (butterflies (Array.length a));
-          inplace_float a)
-    else inplace_float a
-
-  let inplace_int a =
-    if Prof.enabled () then
-      Prof.span "kern:wht.inplace_int" (fun () ->
-          Prof.add Prof.Word_ops (butterflies (Array.length a));
-          inplace_int a)
-    else inplace_int a
-
-  let inplace_f64 a =
-    if Prof.enabled () then
-      Prof.span "kern:wht.inplace_f64" (fun () ->
-          Prof.add Prof.Word_ops (butterflies (Buf.f64_length a));
-          inplace_f64 a)
-    else inplace_f64 a
+          blocked a)
+    else blocked a
 end

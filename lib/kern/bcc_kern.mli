@@ -26,16 +26,14 @@ val ctz : int -> int
 
 (** GC-invisible flat buffers for the kernel inner loops.
 
-    [i64]/[f64] are C-layout [Bigarray.Array1] values: element access
+    [i64]/[ints] are C-layout [Bigarray.Array1] values: element access
     compiles to one unboxed load or store — no boxed [Int64] cells, no
     write barrier, nothing for the minor GC to scan.  Accessors are
     {b unchecked}; callers own their indices (the word-boundary property
-    tests in test/test_kern.ml pin the semantics against the
-    [Bitvec]/[float array] oracles, and test_prof.ml pins the no-alloc
-    property).  Creation zero-fills. *)
+    tests in test/test_kern.ml pin the semantics against the [Bitvec]
+    oracles).  Creation zero-fills, except {!int_create_uninit}. *)
 module Buf : sig
   type i64 = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
-  type f64 = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
   type ints = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
   (** Native-int buffer ({!Spgraph}'s column arrays): [Bigarray.int]
@@ -44,7 +42,6 @@ module Buf : sig
       buffer is still invisible to the GC. *)
 
   val i64_create : int -> i64
-  val f64_create : int -> f64
   val int_create : int -> ints
 
   val int_create_uninit : int -> ints
@@ -58,31 +55,17 @@ module Buf : sig
       loads/stores without flambda. *)
 
   external i64_length : i64 -> int = "%caml_ba_dim_1"
-  external f64_length : f64 -> int = "%caml_ba_dim_1"
   external int_length : ints -> int = "%caml_ba_dim_1"
 
   external i64_get : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
   external i64_set : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
-  external f64_get : f64 -> int -> float = "%caml_ba_unsafe_ref_1"
-  external f64_set : f64 -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   external int_get : ints -> int -> int = "%caml_ba_unsafe_ref_1"
   external int_set : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
   (** Unchecked element access (see module comment). *)
 
-  val i64_fill : i64 -> int64 -> unit
-  val f64_fill : f64 -> float -> unit
-
-  val i64_blit : src:i64 -> dst:i64 -> unit
-  val f64_blit : src:f64 -> dst:f64 -> unit
-  (** Whole-buffer no-alloc copies; lengths must match. *)
-
   val i64_copy : i64 -> i64
 
-  val i64_of_array : int64 array -> i64
-  val f64_of_array : float array -> f64
   val int_of_array : int array -> ints
-  val i64_to_array : i64 -> int64 array
-  val f64_to_array : f64 -> float array
   val int_to_array : ints -> int array
   (** Boxed-array conversions, for loading and for tests — not for hot
       loops. *)
@@ -101,9 +84,6 @@ module Gf2 : sig
   (** Copy Bitvec rows (all of length [cols]) into one flat word buffer. *)
 
   val unpack : packed -> Bitvec.t array
-
-  val get : packed -> int -> int -> bool
-  (** [get p i j] is element (i, j); bounds-checked, for tests. *)
 
   val transpose64 : int64 array -> unit
   (** In-place transpose of a 64x64 bit block (64 words; bit [c] of word
@@ -261,9 +241,6 @@ module Enum : sig
 
   val max_arity : int
 
-  val pack : int -> (int -> bool) -> table
-  (** [pack n f] evaluates [f] on every input. *)
-
   val of_bytes : int -> Bytes.t -> table
   (** Pack a [Boolfun]-style byte table ([2^n] bytes, nonzero = true). *)
 
@@ -304,16 +281,8 @@ module Wht : sig
       run two at a time as fused radix-4 butterflies (identical floating
       point, half the memory passes); tables >= [par_threshold] fan the
       stages out across the [Par] pool; results are byte-identical for
-      every domain count.  ([float array] is already unboxed in OCaml, so
-      this path needs no {!Buf}; use {!inplace_f64} when the data
-      already lives on one.) *)
-
-  val inplace_int : int array -> unit
-  (** Integer-accumulator variant: on 0/1 (or any small-integer) tables
-      all intermediates are exact, so scaling the output reproduces the
-      float transform bit-for-bit while running on untagged ints. *)
-
-  val inplace_f64 : Buf.f64 -> unit
-  (** {!inplace_float} on a {!Buf.f64} buffer — same blocking, same
-      bit-identical results, zero allocation (test_prof.ml pins this). *)
+      every domain count.  ([float array] is already unboxed in OCaml,
+      so the butterflies load and store raw floats; below
+      [par_threshold] a call allocates nothing, which test_kern.ml
+      pins.) *)
 end

@@ -100,8 +100,8 @@ let catalogue =
       id = "lint/type-error";
       severity = Error;
       summary =
-        "compilation unit failed to typecheck or its .cmt could not be \
-         read; typed rules did not run on it";
+        "compilation unit failed to typecheck, or has no readable .cmt; \
+         typed rules did not run on it";
     };
     {
       id = "lint/unknown-rule";
@@ -841,11 +841,12 @@ let merge a b =
 
 let empty = { findings = []; suppressions = []; sites = []; files_scanned = 0 }
 
+let source_files paths =
+  List.fold_left collect_ml [] paths |> List.sort_uniq String.compare
+
 let lint_paths paths =
-  let files =
-    List.fold_left collect_ml [] paths |> List.sort_uniq String.compare
-  in
-  List.fold_left (fun acc file -> merge acc (lint_file file)) empty files
+  List.fold_left (fun acc file -> merge acc (lint_file file)) empty
+    (source_files paths)
 
 let exit_code r = if r.findings = [] then 0 else 1
 

@@ -156,11 +156,14 @@ val lint_file : string -> report
     Unparseable input yields a [lint/parse-error] finding rather than an
     exception. *)
 
+val source_files : string list -> string list
+(** Every [.ml] file under the given files/directories (recursing,
+    skipping [_build]-like directories), sorted: the files both passes
+    must cover. *)
+
 val lint_paths : string list -> report
-(** Lints every [.ml] file under the given files/directories
-    (recursing, skipping [_build]-like directories), merging the
-    per-file reports.  Files are visited in sorted order so the report
-    is deterministic. *)
+(** Lints every {!source_files} entry, merging the per-file reports.
+    Files are visited in sorted order so the report is deterministic. *)
 
 val exit_code : report -> int
 (** [0] when [findings] is empty, [1] otherwise. *)

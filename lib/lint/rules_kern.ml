@@ -28,8 +28,7 @@ let unsafe_head f =
   | None -> None
 
 let length_names =
-  [ "length"; "dim"; "dim1"; "word_length"; "i64_length"; "f64_length";
-    "int_length" ]
+  [ "length"; "dim"; "dim1"; "word_length"; "i64_length"; "int_length" ]
 
 let length_prims =
   [ "%array_length"; "%bytes_length"; "%string_length"; "%caml_ba_dim_1" ]

@@ -453,8 +453,24 @@ let run_units ~rules units =
     (fun acc u -> Lint.merge acc (run_unit ~index ~rules u))
     Lint.empty units
 
+(* A scanned source with no loaded unit was never type-checked into
+   [dir] (an executable built natively writes no .cmt), so the typed
+   rules would pass it unseen: report it instead. *)
+let missing_units ~paths ~dir units =
+  Lint.source_files paths
+  |> List.filter_map (fun file ->
+         if List.exists (fun u -> u.tu_path = normalize_path file) units then None
+         else
+           Some
+             (type_error_finding ~file
+                (Printf.sprintf
+                   "no .cmt under %s: the typed rules did not check this file \
+                    (build @check first)"
+                   dir)))
+
 (* One-call entry point for the CLI: discover, load, index, run. *)
 let lint_cmt_dir ~rules ?(paths = []) dir =
   let units, problems = load_dir ~paths dir in
   let r = run_units ~rules units in
+  let problems = problems @ missing_units ~paths ~dir units in
   { r with Lint.findings = Lint.sort_findings (problems @ r.Lint.findings) }

@@ -1,8 +1,9 @@
 (* Machine-readable run artifacts: a minimal JSON representation, a
    serializer whose output is deterministic (so identical runs produce
-   byte-identical artifacts), a recursive-descent parser for round-trip
-   checks and replay tooling, and the envelope every artifact shares
-   (schema version, seed, parameters, git describe). *)
+   byte-identical artifacts), a recursive-descent parser (for `bench
+   compare`'s baseline and the tests' round-trip checks), and the
+   envelope every artifact shares (schema version, seed, parameters, git
+   describe). *)
 
 type json =
   | Null
@@ -276,9 +277,17 @@ let make ~kind ~id ?seed ?(params = []) payload =
 
 let default_dir = "_artifacts"
 
+(* [mkdir -p]: create [dir] after its missing parents.  A directory that
+   appears between the test and the mkdir is as good as one that was
+   there. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    mkdir_p (Filename.dirname dir);
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
+
 let write_file ~path j =
-  let dir = Filename.dirname path in
-  if dir <> "." && not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
+  mkdir_p (Filename.dirname path);
   let oc = open_out path in
   output_string oc (to_string ~pretty:true j);
   output_char oc '\n';

@@ -53,6 +53,7 @@ val default_dir : string
 (** ["_artifacts"], the conventional output directory (gitignored). *)
 
 val write_file : path:string -> json -> unit
-(** Pretty-prints to [path], creating the parent directory if needed. *)
+(** Pretty-prints to [path], creating its directory and any missing
+    parents first. *)
 
 val read_file : path:string -> json

@@ -2,7 +2,8 @@
 
     {!capture} installs an in-memory sink for the duration of a run; the
     JSONL form (one event object per line) is what [bcc_cli trace]
-    emits and what the trace replay/diff tooling consumes. *)
+    emits.  Nothing in the repo decodes it: CI compares traces with
+    [cmp] and checks their span pairing with a short Python script. *)
 
 val capture : (unit -> 'a) -> 'a * Trace.event list
 (** [capture body] runs [body] with a sink installed and returns its
@@ -12,13 +13,10 @@ val capture : (unit -> 'a) -> 'a * Trace.event list
 
 (** {1 Serialization} *)
 
-exception Decode_error of string
-
 val event_to_json : Trace.event -> Artifact.json
-val event_of_json : Artifact.json -> Trace.event
-(** Inverse of {!event_to_json}; raises {!Decode_error} on malformed
-    input. *)
+(** One event as [{"seq", "scope", "event"}], the payload an object
+    tagged by its ["type"]. *)
 
 val to_jsonl : Trace.event list -> string
-val of_jsonl : string -> Trace.event list
-(** Parses the output of {!to_jsonl}; blank lines are skipped. *)
+(** One {!event_to_json} object per line, each line ending in a
+    newline. *)

@@ -103,8 +103,8 @@ let test_unsafe_set_bit_matches_set () =
 (* -------------------------------------------------------- graph kernels *)
 
 let core_of graph =
-  let rows = Digraph.unsafe_rows graph in
-  (Bcc_kern.Graph.bidirectional_core rows, Oracle.bidirectional_core rows)
+  let rows = Array.init (Digraph.vertex_count graph) (Digraph.out_row graph) in
+  (Digraph.bidirectional_core graph, Oracle.bidirectional_core rows)
 
 let core_pair g n = core_of (Planted.sample_rand g n)
 

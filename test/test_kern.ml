@@ -229,21 +229,6 @@ let test_wht_blocked_vs_naive () =
     check_bool (Printf.sprintf "vs direct n=%d" n) true (blocked = Oracle.wht a)
   done
 
-let test_wht_int_matches_float () =
-  let g = Prng.create 62 in
-  List.iter
-    (fun len ->
-      let floats = random_table g len in
-      let ints = Array.map int_of_float floats in
-      Bcc_kern.Wht.inplace_int ints;
-      Bcc_kern.Wht.inplace_float floats;
-      let same = ref true in
-      Array.iteri
-        (fun i v -> if float_of_int v <> floats.(i) then same := false)
-        ints;
-      check_bool (Printf.sprintf "len=%d" len) true !same)
-    [ 1; 64; 4096; 65536 ]
-
 let test_wht_parallel_identical () =
   (* 2^17 crosses par_threshold and 2^16 sits on it: the butterfly stages
      fan out across the pool; the result must be byte-identical at 1 and 4
@@ -264,9 +249,24 @@ let test_wht_parallel_identical () =
       check_bool (Printf.sprintf "vs butterfly 2^%d" logn) true (seq = butterfly))
     [ 17; 16 ]
 
+let test_wht_float_no_alloc () =
+  (* Below par_threshold the butterflies are in-place loops on an unboxed
+     float array: no minor-heap words.  Gc.minor_words boxes its float
+     result, so allow a small constant slack over the 10 calls. *)
+  let a = random_table (Prng.create 73) (1 lsl 12) in
+  Bcc_kern.Wht.inplace_float a;
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Bcc_kern.Wht.inplace_float a
+  done;
+  let delta = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "inplace_float allocates nothing (delta %.0f words)" delta)
+    true (delta < 256.0)
+
 let test_fourier_transform_exact () =
-  (* The integer-accumulator transform must reproduce the old float path
-     bit-for-bit. *)
+  (* The packed-table load, blocked WHT and in-place scaling must
+     reproduce the plain float butterfly bit-for-bit. *)
   let g = Prng.create 64 in
   List.iter
     (fun n ->
@@ -282,81 +282,33 @@ let test_fourier_transform_exact () =
 
 (* ------------------------------------------------------------------ buf *)
 
-(* Buf accessors and bulk operations against plain-array oracles, at the
+(* Buf accessors and copy against plain-array oracles, at the
    word-boundary sizes where an off-by-one in flat-buffer math would
    bite. *)
 let buf_sizes = [ 1; 63; 64; 65; 127; 128 ]
 
 let test_buf_i64_vs_oracle () =
   let g = Prng.create 71 in
+  let module Buf = Bcc_kern.Buf in
+  let to_array b = Array.init (Buf.i64_length b) (Buf.i64_get b) in
   List.iter
     (fun n ->
+      let b = Buf.i64_create n in
+      check_int (Printf.sprintf "length %d" n) n (Buf.i64_length b);
+      check_bool "create zeroed" true (Array.for_all (Int64.equal 0L) (to_array b));
       let src = Array.init n (fun _ -> Prng.bits64 g) in
-      let b = Bcc_kern.Buf.i64_of_array src in
-      check_int (Printf.sprintf "length %d" n) n (Bcc_kern.Buf.i64_length b);
+      Array.iteri (fun i v -> Buf.i64_set b i v) src;
       Array.iteri
         (fun i v ->
           check_bool (Printf.sprintf "get %d/%d" i n) true
-            (Int64.equal (Bcc_kern.Buf.i64_get b i) v))
+            (Int64.equal (Buf.i64_get b i) v))
         src;
-      check_bool "roundtrip" true (Bcc_kern.Buf.i64_to_array b = src);
+      let c = Buf.i64_copy b in
       let rev = Array.init n (fun i -> src.(n - 1 - i)) in
-      Array.iteri (fun i v -> Bcc_kern.Buf.i64_set b i v) rev;
-      check_bool "after set" true (Bcc_kern.Buf.i64_to_array b = rev);
-      let c = Bcc_kern.Buf.i64_copy b in
-      Bcc_kern.Buf.i64_fill b 0L;
-      check_bool "copy unaffected by fill" true (Bcc_kern.Buf.i64_to_array c = rev);
-      check_bool "fill zeroed" true
-        (Array.for_all (Int64.equal 0L) (Bcc_kern.Buf.i64_to_array b));
-      Bcc_kern.Buf.i64_blit ~src:c ~dst:b;
-      check_bool "blit restores" true (Bcc_kern.Buf.i64_to_array b = rev);
-      check_bool "create zeroed" true
-        (Array.for_all (Int64.equal 0L)
-           (Bcc_kern.Buf.i64_to_array (Bcc_kern.Buf.i64_create n))))
+      Array.iteri (fun i v -> Buf.i64_set b i v) rev;
+      check_bool "after set" true (to_array b = rev);
+      check_bool "copy unaffected by set" true (to_array c = src))
     buf_sizes
-
-let test_buf_f64_vs_oracle () =
-  let g = Prng.create 72 in
-  List.iter
-    (fun n ->
-      let src = Array.init n (fun _ -> Prng.float g) in
-      let b = Bcc_kern.Buf.f64_of_array src in
-      check_int (Printf.sprintf "length %d" n) n (Bcc_kern.Buf.f64_length b);
-      Array.iteri
-        (fun i v ->
-          check_bool (Printf.sprintf "get %d/%d" i n) true
-            (Float.equal (Bcc_kern.Buf.f64_get b i) v))
-        src;
-      check_bool "roundtrip" true (Bcc_kern.Buf.f64_to_array b = src);
-      let rev = Array.init n (fun i -> src.(n - 1 - i)) in
-      Array.iteri (fun i v -> Bcc_kern.Buf.f64_set b i v) rev;
-      check_bool "after set" true (Bcc_kern.Buf.f64_to_array b = rev);
-      Bcc_kern.Buf.f64_fill b 0.0;
-      check_bool "fill zeroed" true
-        (Array.for_all (Float.equal 0.0) (Bcc_kern.Buf.f64_to_array b)))
-    buf_sizes
-
-let test_wht_f64_matches_float_and_no_alloc () =
-  let g = Prng.create 73 in
-  let len = 1 lsl 12 in
-  let base = random_table g len in
-  let expect = Array.copy base in
-  Bcc_kern.Wht.inplace_float expect;
-  let buf = Bcc_kern.Buf.f64_of_array base in
-  Bcc_kern.Wht.inplace_f64 buf;
-  check_bool "f64 matches float" true (Bcc_kern.Buf.f64_to_array buf = expect);
-  (* The Bigarray path must not touch the minor heap: unboxed loads and
-     stores only (below par_threshold the butterflies are pure in-place
-     loops).  Gc.minor_words boxes its float result, so allow a small
-     constant slack over the 10 calls. *)
-  let before = Gc.minor_words () in
-  for _ = 1 to 10 do
-    Bcc_kern.Wht.inplace_f64 buf
-  done;
-  let delta = Gc.minor_words () -. before in
-  check_bool
-    (Printf.sprintf "inplace_f64 allocates nothing (delta %.0f words)" delta)
-    true (delta < 256.0)
 
 (* ------------------------------------------------------------ mul_wide *)
 
@@ -486,16 +438,14 @@ let () =
       ( "wht",
         [
           Alcotest.test_case "blocked vs naive (n<=10)" `Quick test_wht_blocked_vs_naive;
-          Alcotest.test_case "int path exact" `Quick test_wht_int_matches_float;
           Alcotest.test_case "parallel identical" `Quick test_wht_parallel_identical;
           Alcotest.test_case "transform bit-identical" `Quick test_fourier_transform_exact;
+          Alcotest.test_case "inplace_float allocates nothing" `Quick
+            test_wht_float_no_alloc;
         ] );
       ( "buf",
         [
           Alcotest.test_case "i64 vs oracle" `Quick test_buf_i64_vs_oracle;
-          Alcotest.test_case "f64 vs oracle" `Quick test_buf_f64_vs_oracle;
-          Alcotest.test_case "wht f64 exact and no-alloc" `Quick
-            test_wht_f64_matches_float_and_no_alloc;
         ] );
       ( "hit counts",
         [

@@ -441,8 +441,8 @@ let test_typed_dls_zero () =
    bounds check living in another module still counts as evidence.  The
    fixture pair is compiled to real .cmt files with ocamlc and loaded
    back through the same Typed_pass.load_dir the CLI uses. *)
-let test_cross_unit_cmt () =
-  let dir = Filename.temp_file "bcc_lint_cmt" "" in
+let with_temp_dir prefix f =
+  let dir = Filename.temp_file prefix "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
   let cleanup () =
@@ -451,7 +451,10 @@ let test_cross_unit_cmt () =
       (Sys.readdir dir);
     try Unix.rmdir dir with Unix.Unix_error _ -> ()
   in
-  Fun.protect ~finally:cleanup (fun () ->
+  Fun.protect ~finally:cleanup (fun () -> f dir)
+
+let test_cross_unit_cmt () =
+  with_temp_dir "bcc_lint_cmt" (fun dir ->
       let write name src =
         let oc = open_out (Filename.concat dir name) in
         output_string oc src;
@@ -487,6 +490,32 @@ let test_cross_unit_cmt () =
              | Lint.Guard _ -> true
              | _ -> false)
            r.Lint.sites))
+
+(* A scanned source with no loaded unit is a finding, not a silent pass:
+   of two fixtures only one is compiled, and only the other is
+   reported. *)
+let test_missing_cmt () =
+  with_temp_dir "bcc_lint_missing" (fun dir ->
+      let path name = Filename.concat dir name in
+      List.iter
+        (fun name ->
+          let oc = open_out (path name) in
+          output_string oc "let x = 1\n";
+          close_out oc)
+        [ "checked.ml"; "unchecked.ml" ];
+      let rc =
+        Sys.command
+          (Printf.sprintf "ocamlc -c -bin-annot -o %s %s 2>/dev/null"
+             (Filename.quote (path "checked.cmo"))
+             (Filename.quote (path "checked.ml")))
+      in
+      check_int "fixture compiles" 0 rc;
+      let r = Typed_pass.lint_cmt_dir ~rules:typed_rules ~paths:[ dir ] dir in
+      match r.Lint.findings with
+      | [ f ] ->
+          check_string "rule" "lint/type-error" f.Lint.rule_id;
+          check_string "file" (path "unchecked.ml") f.Lint.file
+      | fs -> Alcotest.failf "want one finding, got %d" (List.length fs))
 
 (* ------------------------------------------------------------- report *)
 
@@ -582,6 +611,7 @@ let () =
           Alcotest.test_case "par/dls-escape" `Quick test_typed_dls_escape;
           Alcotest.test_case "par/dls-zero" `Quick test_typed_dls_zero;
           Alcotest.test_case "cross-unit cmt" `Quick test_cross_unit_cmt;
+          Alcotest.test_case "missing cmt is a finding" `Quick test_missing_cmt;
         ] );
       ( "driver",
         [

@@ -263,36 +263,7 @@ let test_runner_span_pairs () =
       end)
     Runner.names
 
-(* --- JSONL and artifact round-trips --- *)
-
-let test_jsonl_roundtrip () =
-  let events, _ = Runner.trace ~name:"equality-fp" ~seed:5 in
-  let text = Sink.to_jsonl events in
-  let back = Sink.of_jsonl text in
-  check_bool "roundtrip" true (events = back);
-  check_string "reserialize" text (Sink.to_jsonl back)
-
-let test_event_json_all_kinds () =
-  let payloads =
-    [
-      Trace.Span_start { name = "a" };
-      Trace.Span_end { name = "a" };
-      Trace.Spawn { id = 1; n = 4; input_bits = 16 };
-      Trace.Finish { id = 1 };
-      Trace.Round_start { round = 0; n = 4 };
-      Trace.Round_end { round = 0; n = 4; msg_bits = 2 };
-      Trace.Broadcast { round = 0; sender = 3; value = 2; msg_bits = 2 };
-      Trace.Unicast_send { round = 1; sender = 0; messages = 3; msg_bits = 5 };
-      Trace.Turn { turn = 7; speaker = 2; bit = true };
-      Trace.Rand_draw { owner = -1; op = "bitvec"; bits = 12 };
-    ]
-  in
-  List.iteri
-    (fun i payload ->
-      let e = { Trace.seq = i; scope = "t"; payload } in
-      let back = Sink.event_of_json (Sink.event_to_json e) in
-      check_bool "roundtrip" true (e = back))
-    payloads
+(* --- artifact round-trips --- *)
 
 let test_trace_artifact_roundtrip () =
   let j = Runner.trace_artifact ~name:"equality-det" ~seed:42 in
@@ -307,9 +278,30 @@ let test_trace_artifact_roundtrip () =
   match Option.bind (Artifact.member "payload" j) (Artifact.member "events") with
   | Some (Artifact.List evs) ->
       check_bool "has events" true (List.length evs > 0);
-      (* Every serialized event decodes. *)
-      List.iter (fun ev -> ignore (Sink.event_of_json ev)) evs
+      (* The events are the run's, as the JSONL encoder writes them. *)
+      let events, _ = Runner.trace ~name:"equality-det" ~seed:42 in
+      check_bool "events encoded" true (evs = List.map Sink.event_to_json events)
   | _ -> Alcotest.fail "missing events list"
+
+let test_write_file_creates_parents () =
+  (* Two missing levels above the file: `bcc_cli run --artifacts` and
+     `bcc_cli prof --out` hand write_file such paths. *)
+  let base = Filename.temp_file "bcc_artifact" "" in
+  Sys.remove base;
+  let mid = Filename.concat base "a" in
+  let dir = Filename.concat mid "b" in
+  let path = Filename.concat dir "x.json" in
+  let j = Artifact.Obj [ ("k", Artifact.Int 1) ] in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Sys.remove path with Sys_error _ -> ());
+      List.iter (fun d -> try Unix.rmdir d with Unix.Unix_error _ -> ()) [ dir; mid; base ])
+    (fun () ->
+      Artifact.write_file ~path j;
+      check_bool "read back" true (Artifact.read_file ~path = j);
+      (* An existing directory is fine the second time. *)
+      Artifact.write_file ~path j;
+      check_bool "rewritten" true (Artifact.read_file ~path = j))
 
 let test_json_parser_edges () =
   let roundtrip s = Artifact.to_string (Artifact.of_string s) in
@@ -341,25 +333,6 @@ let test_float_repr_roundtrips () =
       | Artifact.Int y -> check_bool "integral" true (float_of_int y = x)
       | _ -> Alcotest.fail "not a number")
     [ 0.0; 1.0; -1.5; 0.1; 1.0 /. 3.0; 1e-300; 1.2020569031595942; 6.02e23 ]
-
-let test_experiments_table_json_roundtrip () =
-  let t =
-    {
-      Experiments.id = "t0";
-      title = "a, \"quoted\" title";
-      columns = [ "x"; "y" ];
-      rows = [ [ "1"; "2" ]; [ "3"; "4" ] ];
-      notes = [ "note" ];
-    }
-  in
-  (match Experiments.of_json (Experiments.to_json t) with
-  | Some t' -> check_bool "roundtrip" true (t = t')
-  | None -> Alcotest.fail "of_json failed");
-  (* Through the envelope and the serializer too. *)
-  let j = Artifact.of_string (Artifact.to_string (Experiments.artifact ~seed:1 t)) in
-  match Option.bind (Artifact.member "payload" j) Experiments.of_json with
-  | Some t' -> check_bool "envelope roundtrip" true (t = t')
-  | None -> Alcotest.fail "payload did not decode"
 
 (* --- metrics --- *)
 
@@ -561,14 +534,12 @@ let () =
         ] );
       ( "serialization",
         [
-          Alcotest.test_case "jsonl roundtrip" `Quick test_jsonl_roundtrip;
-          Alcotest.test_case "all event kinds" `Quick test_event_json_all_kinds;
           Alcotest.test_case "trace artifact roundtrip" `Quick
             test_trace_artifact_roundtrip;
+          Alcotest.test_case "write_file creates missing parents" `Quick
+            test_write_file_creates_parents;
           Alcotest.test_case "parser edges" `Quick test_json_parser_edges;
           Alcotest.test_case "float repr roundtrips" `Quick test_float_repr_roundtrips;
-          Alcotest.test_case "experiment table json" `Quick
-            test_experiments_table_json_roundtrip;
         ] );
       ( "metrics",
         [

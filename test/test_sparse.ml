@@ -711,7 +711,7 @@ let test_kernels_vs_dense () =
     (fun (n, p, seed) ->
       let dg = Gnp.sample_fast (Prng.create seed) ~n ~p in
       let sg = Sparse.of_digraph dg in
-      let dcore = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg) in
+      let dcore = Digraph.bidirectional_core dg in
       let score = Bcc_kern.Spgraph.bidirectional_core sg in
       (* The core itself must match entry for entry. *)
       let label = Printf.sprintf "n=%d p=%g seed=%d" n p seed in
@@ -747,7 +747,7 @@ let test_core_on_asymmetric_input () =
     if i <> j then Digraph.add_edge dg i j
   done;
   let sg = Sparse.of_digraph dg in
-  let dcore = Bcc_kern.Graph.bidirectional_core (Digraph.unsafe_rows dg) in
+  let dcore = Digraph.bidirectional_core dg in
   let score = Bcc_kern.Spgraph.bidirectional_core sg in
   Array.iteri
     (fun i row ->
