@@ -1096,10 +1096,9 @@ let () =
     Artifact.write_file
       ~path:(Filename.concat Artifact.default_dir "PROF_bench.json")
       (Prof.to_artifact ~id:"bench" r);
-    let oc = open_out (Filename.concat Artifact.default_dir "PROF_bench.trace.json") in
-    output_string oc (Prof.to_perfetto ());
-    output_char oc '\n';
-    close_out oc;
+    Artifact.write_text
+      ~path:(Filename.concat Artifact.default_dir "PROF_bench.trace.json")
+      (Prof.to_perfetto () ^ "\n");
     Format.printf "profile written to %s/PROF_bench.json (+ .trace.json)@."
       Artifact.default_dir
   end;

@@ -12,6 +12,11 @@
 
 open Cmdliner
 
+(* Every command that writes files checks its output directory before it
+   runs, and writes through [Artifact]; a path it cannot write is a usage
+   error (exit 124, one line on stderr), not an uncaught exception. *)
+let writing f = try f () with Sys_error msg -> Error (`Msg msg)
+
 (* ----------------------------------------------------------------- run *)
 
 let run_experiments list_only csv artifacts_dir ids seed =
@@ -19,7 +24,9 @@ let run_experiments list_only csv artifacts_dir ids seed =
     List.iter (Format.printf "%s@.") Experiments.ids;
     Ok ()
   end
-  else begin
+  else
+    writing @@ fun () ->
+    Option.iter Artifact.ensure_dir artifacts_dir;
     let targets =
       match ids with
       | [] -> Experiments.ids
@@ -44,7 +51,6 @@ let run_experiments list_only csv artifacts_dir ids seed =
             ok := false)
       targets;
     if !ok then Ok () else Error (`Msg "unknown experiment id")
-  end
 
 let list_arg =
   let doc = "List the known experiment ids and exit." in
@@ -99,6 +105,13 @@ let run_trace list_only jsonl out proto seed =
              (Printf.sprintf "unknown protocol %S (known: %s)" name
                 (String.concat ", " Runner.names)))
     | Some name ->
+        writing @@ fun () ->
+        Option.iter
+          (fun path ->
+            Artifact.ensure_dir (Filename.dirname path);
+            if Sys.file_exists path && Sys.is_directory path then
+              raise (Sys_error (path ^ ": Is a directory")))
+          out;
         let text =
           if jsonl then
             let events, _summary = Runner.trace ~name ~seed in
@@ -108,17 +121,11 @@ let run_trace list_only jsonl out proto seed =
             ^ "\n"
         in
         (match out with
-        | None ->
-            print_string text;
-            Ok ()
-        | Some path -> (
-            try
-              let oc = open_out path in
-              output_string oc text;
-              close_out oc;
-              Format.eprintf "wrote %s@." path;
-              Ok ()
-            with Sys_error msg -> Error (`Msg msg)))
+        | None -> print_string text
+        | Some path ->
+            Artifact.write_text ~path text;
+            Format.eprintf "wrote %s@." path);
+        Ok ()
 
 let trace_list_arg =
   let doc = "List the traceable protocol names and exit." in
@@ -238,7 +245,9 @@ let run_prof list_only dir top target seed =
     in
     match launch with
     | Error e -> Error e
-    | Ok (name, body) -> (
+    | Ok (name, body) ->
+        writing @@ fun () ->
+        Artifact.ensure_dir dir;
         Prof.start ();
         let (), wall = Prof.time body in
         Prof.stop ();
@@ -255,15 +264,10 @@ let run_prof list_only dir top target seed =
         let trace_path =
           Filename.concat dir (Printf.sprintf "PROF_%s.trace.json" name)
         in
-        try
-          Artifact.write_file ~path:json_path (Prof.to_artifact ~id:name ~seed r);
-          let oc = open_out trace_path in
-          output_string oc (Prof.to_perfetto ());
-          output_string oc "\n";
-          close_out oc;
-          Format.eprintf "wrote %s@.wrote %s@." json_path trace_path;
-          Ok ()
-        with Sys_error msg -> Error (`Msg msg))
+        Artifact.write_file ~path:json_path (Prof.to_artifact ~id:name ~seed r);
+        Artifact.write_text ~path:trace_path (Prof.to_perfetto () ^ "\n");
+        Format.eprintf "wrote %s@.wrote %s@." json_path trace_path;
+        Ok ()
 
 let prof_list_arg =
   let doc = "List the profilable targets (experiment ids, then protocols)." in

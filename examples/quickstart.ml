@@ -16,8 +16,8 @@ let parity_count_protocol : int Bcast.protocol =
     Bcast.name = "parity-count";
     msg_bits = 1;
     rounds = 1;
-    spawn =
-      (fun ~id:_ ~n:_ ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input ~rand:_ ->
         let odd = ref 0 in
         {
           Bcast.send = (fun ~round:_ -> Bitvec.popcount input land 1);

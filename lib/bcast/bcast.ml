@@ -105,12 +105,21 @@ type 'out processor = {
   finish : unit -> 'out;
 }
 
+type 'out instance = {
+  spawn : id:int -> input:Bitvec.t -> rand:Rand_counter.t -> 'out processor;
+  public : round:int -> int array -> unit;
+}
+
 type 'out protocol = {
   name : string;
   msg_bits : int;
   rounds : int;
-  spawn : id:int -> n:int -> input:Bitvec.t -> rand:Rand_counter.t -> 'out processor;
+  start : n:int -> 'out instance;
 }
+
+let spawn_only spawn ~n =
+  { spawn = (fun ~id ~input ~rand -> spawn ~id ~n ~input ~rand);
+    public = (fun ~round:_ _ -> ()) }
 
 type 'out result = {
   transcript : Transcript.t;
@@ -146,23 +155,25 @@ let simulate proto ~inputs ~sources =
         Trace.emit ~scope
           (Trace.Spawn { id; n; input_bits = Bitvec.length input }))
       inputs;
+  let inst = proto.start ~n in
   let procs =
-    Array.init n (fun id -> proto.spawn ~id ~n ~input:inputs.(id) ~rand:sources.(id))
+    Array.init n (fun id -> inst.spawn ~id ~input:inputs.(id) ~rand:sources.(id))
   in
   let transcript = ref (Transcript.empty ~msg_bits:proto.msg_bits) in
-  let turn = ref 0 in
   for round = 0 to proto.rounds - 1 do
     if traced then Trace.emit ~scope (Trace.Round_start { round; n });
     let messages = Array.map (fun p -> p.send ~round) procs in
-    Array.iteri
-      (fun sender value ->
-        if traced then
+    (* Traced, each value is checked right after its own event, so a bad
+       value ends the stream at its sender; untraced, [append] checks. *)
+    if traced then
+      Array.iteri
+        (fun sender value ->
           Trace.emit ~scope
             (Trace.Broadcast { round; sender; value; msg_bits = proto.msg_bits });
-        transcript :=
-          Transcript.append !transcript { Transcript.turn = !turn; round; sender; value };
-        incr turn)
-      messages;
+          Transcript.check_value !transcript value)
+        messages;
+    transcript := Transcript.append !transcript messages;
+    inst.public ~round messages;
     Array.iter (fun p -> p.receive ~round messages) procs;
     if traced then
       Trace.emit ~scope (Trace.Round_end { round; n; msg_bits = proto.msg_bits })
@@ -229,10 +240,16 @@ let msg_bits_for_log_n n =
 let map_output f proto =
   {
     proto with
-    spawn =
-      (fun ~id ~n ~input ~rand ->
-        let p = proto.spawn ~id ~n ~input ~rand in
-        { p with finish = (fun () -> f (p.finish ())) });
+    start =
+      (fun ~n ->
+        let inst = proto.start ~n in
+        {
+          inst with
+          spawn =
+            (fun ~id ~input ~rand ->
+              let p = inst.spawn ~id ~input ~rand in
+              { p with finish = (fun () -> f (p.finish ())) });
+        });
   }
 
 let with_rounds rounds proto = { proto with rounds }
@@ -243,47 +260,67 @@ let sequential p1 p2 =
     name = Printf.sprintf "%s; %s" p1.name p2.name;
     msg_bits = p1.msg_bits;
     rounds = p1.rounds + p2.rounds;
-    spawn =
-      (fun ~id ~n ~input ~rand ->
-        let a = p1.spawn ~id ~n ~input ~rand in
-        let b = p2.spawn ~id ~n ~input ~rand in
+    start =
+      (fun ~n ->
+        let s1 = p1.start ~n in
+        let s2 = p2.start ~n in
         {
-          send =
-            (fun ~round ->
-              if round < p1.rounds then a.send ~round
-              else b.send ~round:(round - p1.rounds));
-          receive =
+          spawn =
+            (fun ~id ~input ~rand ->
+              let a = s1.spawn ~id ~input ~rand in
+              let b = s2.spawn ~id ~input ~rand in
+              {
+                send =
+                  (fun ~round ->
+                    if round < p1.rounds then a.send ~round
+                    else b.send ~round:(round - p1.rounds));
+                receive =
+                  (fun ~round messages ->
+                    if round < p1.rounds then a.receive ~round messages
+                    else b.receive ~round:(round - p1.rounds) messages);
+                finish = (fun () -> (a.finish (), b.finish ()));
+              });
+          public =
             (fun ~round messages ->
-              if round < p1.rounds then a.receive ~round messages
-              else b.receive ~round:(round - p1.rounds) messages);
-          finish = (fun () -> (a.finish (), b.finish ()));
+              if round < p1.rounds then s1.public ~round messages
+              else s2.public ~round:(round - p1.rounds) messages);
         });
   }
 
 let parallel_pair p1 p2 =
   let b1 = p1.msg_bits in
   if b1 + p2.msg_bits > 30 then invalid_arg "Bcast.parallel_pair: combined width > 30";
+  let mask1 = (1 lsl b1) - 1 in
+  let lane1 messages = Array.map (fun v -> v land mask1) messages in
+  let lane2 messages = Array.map (fun v -> v lsr b1) messages in
   {
     name = Printf.sprintf "%s || %s" p1.name p2.name;
     msg_bits = b1 + p2.msg_bits;
     rounds = max p1.rounds p2.rounds;
-    spawn =
-      (fun ~id ~n ~input ~rand ->
-        let a = p1.spawn ~id ~n ~input ~rand in
-        let b = p2.spawn ~id ~n ~input ~rand in
-        let mask1 = (1 lsl b1) - 1 in
+    start =
+      (fun ~n ->
+        let s1 = p1.start ~n in
+        let s2 = p2.start ~n in
         {
-          send =
-            (fun ~round ->
-              let va = if round < p1.rounds then a.send ~round else 0 in
-              let vb = if round < p2.rounds then b.send ~round else 0 in
-              va lor (vb lsl b1));
-          receive =
+          spawn =
+            (fun ~id ~input ~rand ->
+              let a = s1.spawn ~id ~input ~rand in
+              let b = s2.spawn ~id ~input ~rand in
+              {
+                send =
+                  (fun ~round ->
+                    let va = if round < p1.rounds then a.send ~round else 0 in
+                    let vb = if round < p2.rounds then b.send ~round else 0 in
+                    va lor (vb lsl b1));
+                receive =
+                  (fun ~round messages ->
+                    if round < p1.rounds then a.receive ~round (lane1 messages);
+                    if round < p2.rounds then b.receive ~round (lane2 messages));
+                finish = (fun () -> (a.finish (), b.finish ()));
+              });
+          public =
             (fun ~round messages ->
-              if round < p1.rounds then
-                a.receive ~round (Array.map (fun v -> v land mask1) messages);
-              if round < p2.rounds then
-                b.receive ~round (Array.map (fun v -> v lsr b1) messages));
-          finish = (fun () -> (a.finish (), b.finish ()));
+              if round < p1.rounds then s1.public ~round (lane1 messages);
+              if round < p2.rounds then s2.public ~round (lane2 messages));
         });
   }

@@ -61,17 +61,42 @@ type 'out processor = {
   (** The message to broadcast this round (must fit in [msg_bits]).
       Called exactly once per round, before {!receive} for that round. *)
   receive : round:int -> int array -> unit;
-  (** All [n] messages of the round, indexed by sender. *)
+  (** All [n] messages of the round, indexed by sender.  Every processor
+      is handed the same array; the transcript keeps its own copy. *)
   finish : unit -> 'out;
   (** The processor's final output, after the last round. *)
 }
+
+type 'out instance = {
+  spawn : id:int -> input:Bitvec.t -> rand:Rand_counter.t -> 'out processor;
+  public : round:int -> int array -> unit;
+  (** Steps the run's public state: called once per round with that
+      round's messages, after they join the transcript and before any
+      {!processor.receive}.  Every message is common knowledge, so a
+      function of the transcript that all processors need (the maximum
+      clique of Appendix B, the merged components of a sketching
+      protocol) is computed here once instead of [n] times.  It sees no
+      input and no randomness, opens no span and emits no trace event;
+      processors only read the state.  It must not keep [messages], which
+      the processors may overwrite. *)
+}
+(** One run of a protocol: its public state, held in the closures of
+    [spawn] and [public], and the way to spawn its processors. *)
 
 type 'out protocol = {
   name : string;
   msg_bits : int;
   rounds : int;
-  spawn : id:int -> n:int -> input:Bitvec.t -> rand:Rand_counter.t -> 'out processor;
+  start : n:int -> 'out instance;
+  (** Makes the state of one run with [n] processors.  {!run} calls it
+      once per run, so per-run state needs no key and no lock even when
+      one protocol value runs in several domains at once. *)
 }
+
+val spawn_only :
+  (id:int -> n:int -> input:Bitvec.t -> rand:Rand_counter.t -> 'out processor) ->
+  n:int -> 'out instance
+(** [start = spawn_only spawn]: a protocol with no public state. *)
 
 type 'out result = {
   transcript : Transcript.t;
@@ -85,7 +110,9 @@ type 'out result = {
 
 val run : 'out protocol -> inputs:Bitvec.t array -> rand:Prng.t -> 'out result
 (** Executes the protocol synchronously.  [inputs] has length [n]; each
-    processor's randomness source is split deterministically from [rand]. *)
+    processor's randomness source is split deterministically from [rand].
+    Each round: every processor sends, the round joins the transcript,
+    the public state steps, every processor receives. *)
 
 val run_deterministic : 'out protocol -> inputs:Bitvec.t array -> 'out result
 (** Like {!run} but processors get a {!Rand_counter.deterministic} source. *)

@@ -5,7 +5,11 @@
     far as well as who sent which message and when", Section 1.1).  Because
     every message is broadcast, the transcript is common knowledge; it is
     the only channel through which information about private inputs
-    spreads, and the object whose distribution the lower bounds control. *)
+    spreads, and the object whose distribution the lower bounds control.
+
+    It is stored as one array per round: round [r] is the [r]-th array
+    appended, and its index [i] is sender [i].  Turns number the
+    broadcasts of all rounds in order. *)
 
 type entry = { turn : int; round : int; sender : int; value : int }
 (** One broadcast: [value < 2^msg_bits] sent by [sender] at global [turn],
@@ -16,8 +20,16 @@ type t
 val empty : msg_bits:int -> t
 val msg_bits : t -> int
 
-val append : t -> entry -> t
-(** Functional append (persistent; cheap prefix sharing). *)
+val check_value : t -> int -> unit
+(** Raises [Invalid_argument "Transcript.append: message value out of
+    range"] unless [0 <= v < 2^msg_bits]: the check {!append} makes of
+    every value, for a caller that checks each one as it goes. *)
+
+val append : t -> int array -> t
+(** [append t messages] adds one round, [messages.(i)] sent by
+    processor [i], after checking every value with {!check_value}.
+    Functional (persistent): the round is copied, so the caller may
+    reuse or overwrite [messages], and [t] is unchanged. *)
 
 val length : t -> int
 val entries : t -> entry list

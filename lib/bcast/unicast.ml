@@ -104,10 +104,16 @@ let lift_broadcast (bp : 'out Bcast.protocol) =
     rounds = bp.Bcast.rounds;
     spawn =
       (fun ~id ~n ~input ~rand ->
-        let p = bp.Bcast.spawn ~id ~n ~input ~rand in
+        (* No shared channel: each processor steps its own copy of the
+           public state from the inbox, which holds every sender's value. *)
+        let inst = bp.Bcast.start ~n in
+        let p = inst.Bcast.spawn ~id ~input ~rand in
         {
           send = (fun ~round -> Array.make n (p.Bcast.send ~round));
-          receive = (fun ~round inbox -> p.Bcast.receive ~round inbox);
+          receive =
+            (fun ~round inbox ->
+              inst.Bcast.public ~round inbox;
+              p.Bcast.receive ~round inbox);
           finish = p.Bcast.finish;
         });
   }

@@ -41,4 +41,5 @@ val run_deterministic : 'out protocol -> inputs:Bitvec.t array -> 'out result
 
 val lift_broadcast : 'out Bcast.protocol -> 'out protocol
 (** Every broadcast protocol is a unicast protocol that happens to send
-    the same value to everyone. *)
+    the same value to everyone.  Unicast has no shared channel, so each
+    lifted processor starts and steps its own copy of the public state. *)

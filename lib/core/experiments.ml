@@ -528,16 +528,22 @@ let e12_planted_clique_algorithm ?(seed = 42) () =
     (fun (n, k) ->
       let trials = 20 in
       let successes = ref 0 in
-      let proto_rounds = Planted_clique_algo.round_budget ~n ~k in
+      let rounds_used = ref 0 in
       for t = 1 to trials do
         let gt = Prng.split g ((n * 1000) + (k * 10) + t) in
         let graph, clique = Planted.sample_planted gt ~n ~k in
         let inputs = Array.init n (Digraph.out_row graph) in
         let proto = Planted_clique_algo.protocol ~n ~k in
         let result = Bcast.run proto ~inputs ~rand:gt in
-        (match result.Bcast.outputs.(0) with
-        | Planted_clique_algo.Found found when found = clique -> incr successes
-        | _ -> ())
+        rounds_used := result.Bcast.rounds_used;
+        if
+          Array.for_all
+            (function
+              | Planted_clique_algo.Found found -> found = clique
+              | Planted_clique_algo.Aborted_too_many_active
+              | Planted_clique_algo.Aborted_small_clique -> false)
+            result.Bcast.outputs
+        then incr successes
       done;
       Metrics.record_many
         (Metrics.ratio "e12_success_rate")
@@ -546,7 +552,7 @@ let e12_planted_clique_algorithm ?(seed = 42) () =
         [ string_of_int n; string_of_int k;
           f4 (foi !successes /. foi trials);
           f4 (1.0 -. (1.0 /. (foi n *. foi n)));
-          string_of_int proto_rounds;
+          string_of_int !rounds_used;
           string_of_int (int_of_float (foi n /. foi k *.
             (Float.log (foi n) /. Float.log 2.0) ** 2.0 *. 2.0)) ]
         :: !rows)

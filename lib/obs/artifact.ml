@@ -286,12 +286,24 @@ let rec mkdir_p dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-let write_file ~path j =
-  mkdir_p (Filename.dirname path);
+(* Failures come out as [Sys_error], the way [open_out]'s do. *)
+let ensure_dir dir =
+  (try mkdir_p dir
+   with Unix.Unix_error (e, _, _) ->
+     raise (Sys_error (Printf.sprintf "%s: %s" dir (Unix.error_message e))));
+  if not (Sys.is_directory dir) then raise (Sys_error (dir ^ ": Not a directory"))
+
+let write_text ~path text =
+  ensure_dir (Filename.dirname path);
   let oc = open_out path in
-  output_string oc (to_string ~pretty:true j);
-  output_char oc '\n';
-  close_out oc
+  try
+    output_string oc text;
+    close_out oc
+  with e ->
+    close_out_noerr oc;
+    raise e
+
+let write_file ~path j = write_text ~path (to_string ~pretty:true j ^ "\n")
 
 let read_file ~path =
   let ic = open_in path in

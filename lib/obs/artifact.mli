@@ -52,8 +52,18 @@ val make :
 val default_dir : string
 (** ["_artifacts"], the conventional output directory (gitignored). *)
 
+val ensure_dir : string -> unit
+(** Creates the directory and any missing parents.  Raises [Sys_error]
+    naming the directory when that fails or it is not a directory (a
+    parent that is a file, no permission), so a command can check its
+    output directory before it runs. *)
+
+val write_text : path:string -> string -> unit
+(** Writes [text] to [path] after {!ensure_dir} on its directory: every
+    file the repo's tools write goes through here.  Raises [Sys_error]
+    on any failure. *)
+
 val write_file : path:string -> json -> unit
-(** Pretty-prints to [path], creating its directory and any missing
-    parents first. *)
+(** {!write_text} of the pretty-printed value and a final newline. *)
 
 val read_file : path:string -> json

@@ -24,45 +24,18 @@ let time f =
 
 (* ------------------------------------------------------------ counters *)
 
-type counter =
-  | Prng_bits
-  | Broadcast_bits
-  | Word_ops
-  | Cache_hits
-  | Cache_misses
-  | Cache_verify_fails
+type counter = Prng_bits | Broadcast_bits | Word_ops
 
-let n_counters = 6
+let n_counters = 3
 
-let counter_index = function
-  | Prng_bits -> 0
-  | Broadcast_bits -> 1
-  | Word_ops -> 2
-  | Cache_hits -> 3
-  | Cache_misses -> 4
-  | Cache_verify_fails -> 5
+let counter_index = function Prng_bits -> 0 | Broadcast_bits -> 1 | Word_ops -> 2
 
 let counter_name = function
   | Prng_bits -> "prng_bits"
   | Broadcast_bits -> "broadcast_bits"
   | Word_ops -> "word_ops"
-  | Cache_hits -> "cache_hits"
-  | Cache_misses -> "cache_misses"
-  | Cache_verify_fails -> "cache_verify_fails"
 
-let deterministic_counter = function
-  | Prng_bits | Broadcast_bits | Word_ops -> true
-  | Cache_hits | Cache_misses | Cache_verify_fails -> false
-
-let all_counters =
-  [ Prng_bits; Broadcast_bits; Word_ops; Cache_hits; Cache_misses; Cache_verify_fails ]
-
-let det_counter_names =
-  List.filter_map
-    (fun c -> if deterministic_counter c then Some (counter_name c) else None)
-    all_counters
-
-let is_det_name n = List.mem n det_counter_names
+let all_counters = [ Prng_bits; Broadcast_bits; Word_ops ]
 
 (* ------------------------------------------------------ per-domain state *)
 
@@ -449,17 +422,16 @@ let sum_self_ns r =
 
 (* ------------------------------------------------------------- exporters *)
 
-let counters_json keep counters =
-  match List.filter (fun (n, _) -> keep n) counters with
+let counters_json = function
   | [] -> []
   | cs -> [ ("counters", Artifact.Obj (List.map (fun (n, v) -> (n, Artifact.Int v)) cs)) ]
 
-(* The deterministic half: names, call counts, deterministic counters.
-   No timings, so the bytes diff cleanly across runs and domain counts. *)
+(* The deterministic half: names, call counts, counters.  No timings, so
+   the bytes diff cleanly across runs and domain counts. *)
 let rec comparison_node n =
   Artifact.Obj
     ([ ("name", Artifact.String n.name); ("calls", Artifact.Int n.calls) ]
-    @ counters_json is_det_name n.counters
+    @ counters_json n.counters
     @
     match n.children with
     | [] -> []
@@ -467,7 +439,7 @@ let rec comparison_node n =
 
 let comparison_json r =
   Artifact.Obj
-    (counters_json is_det_name r.root_counters
+    (counters_json r.root_counters
     @ [ ("spans", Artifact.List (List.map comparison_node r.spans)) ])
 
 let rec telemetry_node n =
@@ -477,7 +449,6 @@ let rec telemetry_node n =
        ("total_ns", Artifact.Int n.total_ns);
        ("self_ns", Artifact.Int n.self_ns);
      ]
-    @ counters_json (fun c -> not (is_det_name c)) n.counters
     @
     match n.children with
     | [] -> []

@@ -3,8 +3,8 @@
     [Prof] is the repo's only sanctioned clock ([lib/obs/prof.ml] is the
     single path-scoped exemption to the [det/wall-clock] lint rule) and
     its resource-attribution layer: nestable monotonic-clock spans with
-    per-span counters (PRNG bits drawn, broadcast bits, kernel word-ops,
-    structural-cache hits/misses), per-domain pool telemetry, and two
+    per-span counters (PRNG bits drawn, broadcast bits, kernel word-ops),
+    per-domain pool telemetry, and two
     exporters — a [PROF.json] artifact whose comparison payload carries
     no timings (so artifact diffing still works) and a Chrome/Perfetto
     [trace.json] for flamegraph inspection.
@@ -24,12 +24,11 @@
     opened on the caller accrues its workers' time under the same name
     and the merged tree is independent of the domain count.
 
-    {b Determinism.}  Span call counts and the deterministic counters
-    ([Prng_bits], [Broadcast_bits], [Word_ops]) are pure functions of
-    the seeded computation, so the comparison payload of
+    {b Determinism.}  Span call counts and the counters are pure
+    functions of the seeded computation, so the comparison payload of
     {!to_artifact} is byte-identical across runs and across
-    [BCC_DOMAINS] values.  Timings, pool telemetry and the (scheduling-
-    sensitive) cache counters live in the separate [telemetry] section.
+    [BCC_DOMAINS] values.  Timings and pool telemetry live in the
+    separate [telemetry] section.
 
     Start/stop/reset must be called from the submitting domain while no
     parallel region is in flight. *)
@@ -63,18 +62,8 @@ type counter =
   | Prng_bits  (** bits drawn through [Bcast.Rand_counter] *)
   | Broadcast_bits  (** channel bits of a simulated protocol run *)
   | Word_ops  (** packed-word volume of a [Bcc_kern] kernel call *)
-  | Cache_hits
-  | Cache_misses
-  | Cache_verify_fails
-      (** structural caches: key matched but no entry was structurally
-          equal (a hash collision absorbed by verification) *)
 
 val counter_name : counter -> string
-
-val deterministic_counter : counter -> bool
-(** Whether the counter is a pure function of the seeded computation
-    (and therefore part of the comparison payload).  Cache hit/miss
-    splits depend on cross-domain scheduling, so they are telemetry. *)
 
 val span : string -> (unit -> 'a) -> 'a
 (** [span name f] runs [f] inside a span named [name], the repo's one
@@ -144,11 +133,11 @@ val sum_self_ns : report -> int
 
 val comparison_json : report -> Artifact.json
 (** The deterministic half of the profile: span names, call counts and
-    deterministic counters — no timings. *)
+    counters — no timings. *)
 
 val to_artifact : id:string -> ?seed:int -> report -> Artifact.json
 (** The [PROF.json] envelope: [payload.comparison] (diffable) plus
-    [payload.telemetry] (timings, cache counters, pool lanes). *)
+    [payload.telemetry] (timings, pool lanes). *)
 
 val to_perfetto : unit -> string
 (** The recorded span events as Chrome trace-event JSON (matched

@@ -68,8 +68,8 @@ let construction_protocol_wide p ~msg_bits =
       Printf.sprintf "full-prg-construction-wide(n=%d,k=%d,m=%d,b=%d)" p.n p.k p.m msg_bits;
     msg_bits;
     rounds;
-    spawn =
-      (fun ~id ~n ~input:_ ~rand ->
+    start =
+      Bcast.spawn_only (fun ~id ~n ~input:_ ~rand ->
         let x = Bcast.Rand_counter.bitvec rand p.k in
         let secret = Gf2_matrix.create ~rows:p.k ~cols in
         {
@@ -105,8 +105,8 @@ let construction_protocol p =
     Bcast.name = Printf.sprintf "full-prg-construction(n=%d,k=%d,m=%d)" p.n p.k p.m;
     msg_bits = 1;
     rounds;
-    spawn =
-      (fun ~id ~n ~input:_ ~rand ->
+    start =
+      Bcast.spawn_only (fun ~id ~n ~input:_ ~rand ->
         let x = Bcast.Rand_counter.bitvec rand p.k in
         let secret = Gf2_matrix.create ~rows:p.k ~cols in
         {

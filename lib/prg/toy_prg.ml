@@ -18,8 +18,8 @@ let construction_protocol ~k =
     Bcast.name = Printf.sprintf "toy-prg-construction(k=%d)" k;
     msg_bits = 1;
     rounds = k;
-    spawn =
-      (fun ~id ~n ~input:_ ~rand ->
+    start =
+      Bcast.spawn_only (fun ~id ~n ~input:_ ~rand ->
         (* The private seed [x]; drawn up front so the bit accounting shows
            exactly k bits plus the contributed shares. *)
         let x = Bcast.Rand_counter.bitvec rand k in

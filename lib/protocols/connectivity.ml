@@ -32,7 +32,7 @@ let my_phase_bits cfg ~id ~input ~phase =
   in
   List.fold_left Bitvec.concat (Bitvec.create 0) pieces
 
-(* Shared union-find, identical at every processor. *)
+(* The union-find of the public state. *)
 let uf_find parent v =
   let rec go v = if parent.(v) = v then v else go parent.(v) in
   go v
@@ -99,25 +99,32 @@ let protocol cfg =
     Bcast.name = Printf.sprintf "connectivity-agm(n=%d)" cfg.n;
     msg_bits = cfg.msg_bits;
     rounds = rounds cfg;
-    spawn =
-      (fun ~id ~n:n' ~input ~rand:_ ->
-        if n' <> cfg.n then invalid_arg "Connectivity: processor count mismatch";
+    start =
+      (fun ~n ->
+        if n <> cfg.n then invalid_arg "Connectivity: processor count mismatch";
+        (* Public state: every sender's phase buffer and the union-find,
+           stepped once per round and read by every processor. *)
         let parent = Array.init cfg.n (fun v -> v) in
-        (* Incoming phase buffers, one per sender. *)
         let buffers = Array.init cfg.n (fun _ -> Bitvec.create pbits) in
-        let mine = ref (Bitvec.create 0) in
         {
-          Bcast.send =
-            (fun ~round ->
-              let phase = round / per_phase and chunk = round mod per_phase in
-              if chunk = 0 then mine := my_phase_bits cfg ~id ~input ~phase;
-              let v = ref 0 in
-              for b = 0 to cfg.msg_bits - 1 do
-                let pos = (chunk * cfg.msg_bits) + b in
-                if pos < pbits && Bitvec.get !mine pos then v := !v lor (1 lsl b)
-              done;
-              !v);
-          receive =
+          Bcast.spawn =
+            (fun ~id ~input ~rand:_ ->
+              let mine = ref (Bitvec.create 0) in
+              {
+                Bcast.send =
+                  (fun ~round ->
+                    let phase = round / per_phase and chunk = round mod per_phase in
+                    if chunk = 0 then mine := my_phase_bits cfg ~id ~input ~phase;
+                    let v = ref 0 in
+                    for b = 0 to cfg.msg_bits - 1 do
+                      let pos = (chunk * cfg.msg_bits) + b in
+                      if pos < pbits && Bitvec.get !mine pos then v := !v lor (1 lsl b)
+                    done;
+                    !v);
+                receive = (fun ~round:_ _ -> ());
+                finish = (fun () -> component_count parent);
+              });
+          public =
             (fun ~round messages ->
               let phase = round / per_phase and chunk = round mod per_phase in
               Array.iteri
@@ -130,7 +137,6 @@ let protocol cfg =
                 messages;
               if chunk = per_phase - 1 then
                 merge_step cfg ~phase ~parent ~all_bits:buffers);
-          finish = (fun () -> component_count parent);
         });
   }
 

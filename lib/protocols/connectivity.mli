@@ -15,6 +15,10 @@
     + [O(log n)] phases collapse everything, for
       [O(log n * copies * log^2 n / msg_bits)] rounds total.
 
+    The decode and merge step is a function of the transcript alone, so
+    the simulator runs it once per round as the run's public state
+    ({!Bcast.instance}) and every processor reads the union-find.
+
     Inputs are symmetric adjacency rows (use {!Gnp.sample}); asymmetric
     entries are symmetrized by OR.  All processors output the same
     component count. *)

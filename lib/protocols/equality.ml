@@ -6,8 +6,8 @@ let deterministic_protocol ~m =
     Bcast.name = Printf.sprintf "equality-deterministic(m=%d)" m;
     msg_bits = 1;
     rounds = m;
-    spawn =
-      (fun ~id:_ ~n ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n ~input ~rand:_ ->
         let rows = Array.init n (fun _ -> Bitvec.create m) in
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
@@ -40,8 +40,8 @@ let fingerprint_protocol ~m ~repetitions =
     Bcast.name = Printf.sprintf "equality-fingerprint-bcast(m=%d,c=%d)" m repetitions;
     msg_bits = 1;
     rounds = coin_rounds + repetitions;
-    spawn =
-      (fun ~id ~n ~input ~rand ->
+    start =
+      Bcast.spawn_only (fun ~id ~n ~input ~rand ->
         let coins = Bitvec.create coin_rounds in
         let fingerprints = Array.make (n * repetitions) false in
         {

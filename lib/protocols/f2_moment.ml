@@ -23,8 +23,8 @@ let protocol cfg =
     Bcast.name = Printf.sprintf "f2-ams(d=%d,r=%d)" cfg.d cfg.repetitions;
     msg_bits = w;
     rounds = cfg.repetitions;
-    spawn =
-      (fun ~id:_ ~n:_ ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input ~rand:_ ->
         if Bitvec.length input <> cfg.d then
           invalid_arg "F2_moment: input length must equal the universe size";
         let sum_of_squares = ref 0.0 in

@@ -21,8 +21,8 @@ let column_protocol ~name ~n ~k ~rounds ~decide =
     Bcast.name;
     msg_bits = 1;
     rounds;
-    spawn =
-      (fun ~id ~n:n' ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id ~n:n' ~input ~rand:_ ->
         if n' <> n then invalid_arg "Full_rank: processor count mismatch";
         let observed = Gf2_matrix.create ~rows:k ~cols:rounds in
         {

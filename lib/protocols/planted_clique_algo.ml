@@ -24,68 +24,30 @@ let expected_success_probability ~n ~k =
   let too_few_clique = Stats.chernoff_lower ~mean:(p *. kf) ~delta:0.5 in
   Float.max 0.0 (1.0 -. too_many -. too_few_clique)
 
-(* All processors compute the same maximum clique from common knowledge; a
-   cache keyed by the broadcast data avoids n identical Bron-Kerbosch runs
-   in the simulator.  The key is a cheap FNV-1a fold over the active list
-   and the packed words of each edge column (Bitvec.hash) — O(|actives| +
-   n·|actives|/64) instead of the O(n·|actives|) string rendering this
-   replaces.  Entries carry the full broadcast data and are verified
-   structurally on lookup, so a hash collision can never change hit/miss
-   behavior. *)
-type cache_entry = {
-  e_actives : int list;
-  e_edges : Bitvec.t list;
-  e_clique : int list;
+(* The run's public state: everything here is a function of the
+   transcript, stepped once per round by the simulator.  Processors read
+   it and keep only their activation coin. *)
+type public = {
+  mutable actives : int array;  (** Active vertices, ascending; fixed after round 0. *)
+  mutable aborted : bool;
+  mutable cols : Bitvec.t list;
+      (** Newest first; column [r] holds everyone's adjacency bit to the
+          [r]-th active vertex. *)
+  mutable clique : int list option;
+      (** [C_active], computed on first read; reads come after the last
+          edge round. *)
+  mutable claimed : int list;  (** Claims of every claim round, ascending. *)
 }
 
-type shared_cache = (int, cache_entry list) Hashtbl.t
-
-let fnv_prime = 0x01000193
-
-let cache_key ~actives ~edges =
-  let h =
-    List.fold_left
-      (fun acc a -> (acc lxor a) * fnv_prime land max_int)
-      0x811c9dc5 actives
-  in
-  List.fold_left
-    (fun acc col -> (acc lxor Bitvec.hash col) * fnv_prime land max_int)
-    h edges
-
-let entry_matches ~actives ~edges e =
-  List.equal Int.equal e.e_actives actives && List.equal Bitvec.equal e.e_edges edges
-
-(* Cache effectiveness counters, registered lazily so the names only
-   appear in snapshots once the cache has actually run. *)
-let m_hits = lazy (Metrics.counter "planted_clique_cache_hits_total")
-let m_misses = lazy (Metrics.counter "planted_clique_cache_misses_total")
-let m_verify_fails = lazy (Metrics.counter "planted_clique_cache_verify_fails_total")
-
-let count_lookup ~hit ~verify_fail =
-  if Metrics.collecting () then begin
-    Metrics.inc (Lazy.force (if hit then m_hits else m_misses));
-    if verify_fail then Metrics.inc (Lazy.force m_verify_fails)
-  end;
-  if Prof.enabled () then begin
-    Prof.add (if hit then Prof.Cache_hits else Prof.Cache_misses) 1;
-    if verify_fail then Prof.add Prof.Cache_verify_fails 1
-  end
-
-let compute_active_clique cache ~actives ~edges =
-  let key = cache_key ~actives ~edges in
-  let bucket = Option.value ~default:[] (Hashtbl.find_opt cache key) in
-  match List.find_opt (entry_matches ~actives ~edges) bucket with
-  | Some e ->
-      count_lookup ~hit:true ~verify_fail:false;
-      e.e_clique
+(* The maximum clique of the directed subgraph induced on the active set,
+   as vertex ids in ascending order. *)
+let active_clique pub =
+  match pub.clique with
+  | Some c -> c
   | None ->
-      count_lookup ~hit:false ~verify_fail:(bucket <> []);
-      (* [edges] has one column per active vertex: element [r] is every
-         processor's adjacency bit to the r-th active vertex.  Build the
-         induced directed subgraph on the active set. *)
-      let active_arr = Array.of_list actives in
+      let active_arr = pub.actives in
       let na = Array.length active_arr in
-      let cols = Array.of_list edges in
+      let cols = Array.of_list (List.rev pub.cols) in
       let sub = Digraph.create na in
       for ai = 0 to na - 1 do
         for aj = 0 to na - 1 do
@@ -95,107 +57,88 @@ let compute_active_clique cache ~actives ~edges =
       done;
       let local = Clique.max_clique sub in
       let c = List.sort Int.compare (List.map (fun i -> active_arr.(i)) local) in
-      Hashtbl.replace cache key
-        ({ e_actives = actives; e_edges = edges; e_clique = c } :: bucket);
+      pub.clique <- Some c;
       c
+
+(* The senders that broadcast 1, ascending. *)
+let ones messages =
+  let acc = ref [] in
+  for i = Array.length messages - 1 downto 0 do
+    if messages.(i) = 1 then acc := i :: !acc
+  done;
+  !acc
+
+let step ~n ~cap pub ~round messages =
+  if round = 0 then begin
+    pub.actives <- Array.of_list (ones messages);
+    if Array.length pub.actives > cap then pub.aborted <- true
+  end
+  else if pub.aborted then ()
+  else if round <= cap then begin
+    if round - 1 < Array.length pub.actives then
+      pub.cols <- Bitvec.init n (fun i -> messages.(i) = 1) :: pub.cols
+  end
+  else pub.claimed <- List.merge Int.compare (ones messages) pub.claimed
 
 let protocol ~n ~k =
   let p = activation_probability ~n ~k in
   let cap = active_cap ~n ~k in
   let rounds = round_budget ~n ~k in
-  let cache : shared_cache = Hashtbl.create 4 in
-  (* Every processor packs the {e same physical} broadcast array into the
-     same edge column each round; memoize one column per broadcast array
-     (physical-equality key — a fresh array arrives each round, so no
-     round can alias another).  [Atomic] for the same reason as the
-     degree-summary memo: protocol values may be shared across trial
-     domains, and a lost race only recomputes an identical pure value. *)
-  let col_memo : (int array * Bitvec.t) option Atomic.t = Atomic.make None in
-  let column_of messages =
-    match Atomic.get col_memo with
-    | Some (key, col) when key == messages -> col
-    | _ ->
-        let col = Bitvec.of_bool_array (Array.map (fun v -> v = 1) messages) in
-        Atomic.set col_memo (Some (messages, col));
-        col
-  in
   {
     Bcast.name = Printf.sprintf "planted-clique-B1(n=%d,k=%d)" n k;
     msg_bits = 1;
     rounds;
-    spawn =
-      (fun ~id ~n:n' ~input ~rand ->
+    start =
+      (fun ~n:n' ->
         if n' <> n then invalid_arg "Planted_clique_algo: processor count mismatch";
-        let active = ref false in
-        (* Active vertices in increasing order, fixed after round 0. *)
-        let actives_arr = ref [||] in
-        let aborted = ref false in
-        (* Column r: everyone's adjacency bit to the r-th active vertex. *)
-        let edge_cols = ref [] in
-        let claimed = ref [] in
-        let active_count () = Array.length !actives_arr in
-        let actives_sorted () = Array.to_list !actives_arr in
+        let pub =
+          { actives = [||]; aborted = false; cols = []; clique = None; claimed = [] }
+        in
         {
-          Bcast.send =
-            (fun ~round ->
-              if round = 0 then begin
-                active := Bcast.Rand_counter.bernoulli rand p;
-                if !active then 1 else 0
-              end
-              else if !aborted then 0
-              else if round <= cap then begin
-                (* Edge round r = round - 1: adjacency to the r-th active
-                   vertex (0 when out of range or inactive). *)
-                let r = round - 1 in
-                if (not !active) || r >= active_count () then 0
-                else if Bitvec.get input !actives_arr.(r) then 1
-                else 0
-              end
-              else begin
-                (* Membership claim round. *)
-                let acts = actives_sorted () in
-                let edges = List.rev !edge_cols in
-                let c_active = compute_active_clique cache ~actives:acts ~edges in
-                let sz = List.length c_active in
-                if float_of_int sz < clique_size_threshold n then 0
-                else begin
-                  let adjacent =
-                    List.fold_left
-                      (fun acc v ->
-                        if v = id || Bitvec.get input v then acc + 1 else acc)
-                      0 c_active
-                  in
-                  if float_of_int adjacent >= 0.9 *. float_of_int sz then 1 else 0
-                end
-              end);
-          receive =
-            (fun ~round messages ->
-              if round = 0 then begin
-                let acc = ref [] in
-                for i = n - 1 downto 0 do
-                  if messages.(i) = 1 then acc := i :: !acc
-                done;
-                actives_arr := Array.of_list !acc;
-                if active_count () > cap then aborted := true
-              end
-              else if !aborted then ()
-              else if round <= cap then begin
-                let r = round - 1 in
-                if r < active_count () then
-                  edge_cols := column_of messages :: !edge_cols
-              end
-              else
-                Array.iteri (fun i v -> if v = 1 then claimed := i :: !claimed) messages);
-          finish =
-            (fun () ->
-              if !aborted then Aborted_too_many_active
-              else begin
-                let acts = actives_sorted () in
-                let edges = List.rev !edge_cols in
-                let c_active = compute_active_clique cache ~actives:acts ~edges in
-                if float_of_int (List.length c_active) < clique_size_threshold n then
-                  Aborted_small_clique
-                else Found (List.sort Int.compare !claimed)
-              end);
+          Bcast.spawn =
+            (fun ~id ~input ~rand ->
+              let active = ref false in
+              {
+                Bcast.send =
+                  (fun ~round ->
+                    if round = 0 then begin
+                      active := Bcast.Rand_counter.bernoulli rand p;
+                      if !active then 1 else 0
+                    end
+                    else if pub.aborted then 0
+                    else if round <= cap then begin
+                      (* Edge round r = round - 1: adjacency to the r-th
+                         active vertex (0 when out of range or inactive). *)
+                      let r = round - 1 in
+                      if (not !active) || r >= Array.length pub.actives then 0
+                      else if Bitvec.get input pub.actives.(r) then 1
+                      else 0
+                    end
+                    else begin
+                      (* Membership claim round. *)
+                      let c_active = active_clique pub in
+                      let sz = List.length c_active in
+                      if float_of_int sz < clique_size_threshold n then 0
+                      else begin
+                        let adjacent =
+                          List.fold_left
+                            (fun acc v ->
+                              if v = id || Bitvec.get input v then acc + 1 else acc)
+                            0 c_active
+                        in
+                        if float_of_int adjacent >= 0.9 *. float_of_int sz then 1 else 0
+                      end
+                    end);
+                receive = (fun ~round:_ _ -> ());
+                finish =
+                  (fun () ->
+                    if pub.aborted then Aborted_too_many_active
+                    else if
+                      float_of_int (List.length (active_clique pub))
+                      < clique_size_threshold n
+                    then Aborted_small_clique
+                    else Found pub.claimed);
+              });
+          public = step ~n ~cap pub;
         });
   }

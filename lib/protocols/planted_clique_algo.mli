@@ -15,9 +15,10 @@
     + every processor broadcasts whether it is adjacent to at least a 9/10
       fraction of [C_active] (1 round); the claimed set is the output.
 
-    Protocol values returned here hold a small per-run cache (all
-    processors compute the same maximum clique from common knowledge, so it
-    is computed once); create a fresh protocol per run. *)
+    The active set, the edge columns, [C_active] and the claimed set are
+    functions of the transcript, so they are the run's public state
+    ({!Bcast.instance}): the simulator computes them once, and each
+    processor reads them. *)
 
 type outcome =
   | Found of int list  (** The recovered clique, sorted. *)

@@ -5,8 +5,8 @@ let protocol ~k =
     Bcast.name = Printf.sprintf "seed-attack(k=%d)" k;
     msg_bits = 1;
     rounds = rounds ~k;
-    spawn =
-      (fun ~id:_ ~n ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n ~input ~rand:_ ->
         if Bitvec.length input < k + 1 then
           invalid_arg "Seed_attack: inputs must have at least k+1 bits";
         (* seeds.(i) collects processor i's first k bits; last.(i) its
@@ -37,8 +37,8 @@ let rank_test_protocol ~rounds =
     Bcast.name = Printf.sprintf "rank-test(rounds=%d)" rounds;
     msg_bits = 1;
     rounds;
-    spawn =
-      (fun ~id:_ ~n ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n ~input ~rand:_ ->
         if Bitvec.length input < rounds then
           invalid_arg "Seed_attack.rank_test: inputs shorter than round budget";
         let observed = Gf2_matrix.create ~rows:n ~cols:rounds in

@@ -7,13 +7,10 @@ let check_string = Alcotest.(check string)
 
 (* --- Transcript --- *)
 
-let entry turn round sender value = { Transcript.turn; round; sender; value }
-
 let test_transcript_append () =
   let t = Transcript.empty ~msg_bits:1 in
   check_int "empty" 0 (Transcript.length t);
-  let t = Transcript.append t (entry 0 0 0 1) in
-  let t = Transcript.append t (entry 1 0 1 0) in
+  let t = Transcript.append t [| 1; 0 |] in
   check_int "two entries" 2 (Transcript.length t);
   check_int "bit length" 2 (Transcript.bit_length t);
   let e = Transcript.entry t 0 in
@@ -22,45 +19,53 @@ let test_transcript_append () =
 
 let test_transcript_value_range () =
   let t = Transcript.empty ~msg_bits:2 in
-  let t = Transcript.append t (entry 0 0 0 3) in
+  let t = Transcript.append t [| 3 |] in
   check_int "max value ok" 1 (Transcript.length t);
   Alcotest.check_raises "too large"
     (Invalid_argument "Transcript.append: message value out of range") (fun () ->
-      ignore (Transcript.append t (entry 1 0 1 4)))
+      ignore (Transcript.append t [| 0; 4 |]))
 
 let test_transcript_persistence () =
-  (* Functional append: the original is unchanged. *)
+  (* Functional append: the original is unchanged, and the appended
+     round is a copy the caller may overwrite. *)
   let t0 = Transcript.empty ~msg_bits:1 in
-  let t1 = Transcript.append t0 (entry 0 0 0 1) in
+  let round = [| 1 |] in
+  let t1 = Transcript.append t0 round in
+  round.(0) <- 0;
   check_int "t0 still empty" 0 (Transcript.length t0);
-  check_int "t1 has one" 1 (Transcript.length t1)
+  check_int "t1 has one" 1 (Transcript.length t1);
+  check_int "t1 kept its copy" 1 (Transcript.entry t1 0).Transcript.value
 
 let test_transcript_keys () =
-  let t1 =
-    Transcript.append (Transcript.empty ~msg_bits:1) (entry 0 0 0 1)
-  in
-  let t2 =
-    Transcript.append (Transcript.empty ~msg_bits:1) (entry 0 0 0 1)
-  in
-  let t3 =
-    Transcript.append (Transcript.empty ~msg_bits:1) (entry 0 0 0 0)
-  in
+  let t1 = Transcript.append (Transcript.empty ~msg_bits:1) [| 1 |] in
+  let t2 = Transcript.append (Transcript.empty ~msg_bits:1) [| 1 |] in
+  let t3 = Transcript.append (Transcript.empty ~msg_bits:1) [| 0 |] in
   check_string "equal keys" (Transcript.key t1) (Transcript.key t2);
   check_bool "different keys" true (Transcript.key t1 <> Transcript.key t3)
 
 let test_transcript_selectors () =
   let t = Transcript.empty ~msg_bits:1 in
-  let t = Transcript.append t (entry 0 0 0 1) in
-  let t = Transcript.append t (entry 1 0 1 0) in
-  let t = Transcript.append t (entry 2 1 0 1) in
+  let t = Transcript.append t [| 1; 0 |] in
+  let t = Transcript.append t [| 1; 1 |] in
   Alcotest.(check (list (pair int int)))
     "round 0" [ (0, 1); (1, 0) ]
     (Transcript.messages_of_round t 0);
   Alcotest.(check (list (pair int int)))
     "sender 0" [ (0, 1); (2, 1) ]
     (Transcript.messages_of_sender t 0);
-  let p = Transcript.prefix t 2 in
-  check_int "prefix" 2 (Transcript.length p)
+  let e = Transcript.entry t 3 in
+  Alcotest.(check (list int))
+    "turn, round, sender of the last entry" [ 3; 1; 1 ]
+    [ e.Transcript.turn; e.Transcript.round; e.Transcript.sender ];
+  let p = Transcript.prefix t 3 in
+  check_int "prefix" 3 (Transcript.length p);
+  Alcotest.(check (list (pair int int)))
+    "prefix cuts inside a round" [ (0, 1) ]
+    (Transcript.messages_of_round p 1);
+  let cut = Transcript.append (Transcript.empty ~msg_bits:1) [| 1; 0 |] in
+  check_string "prefix key"
+    (Transcript.key (Transcript.append cut [| 1 |]))
+    (Transcript.key p)
 
 (* --- Rand_counter --- *)
 
@@ -144,8 +149,8 @@ let sum_protocol ~rounds =
     Bcast.name = "sum";
     msg_bits = 1;
     rounds;
-    spawn =
-      (fun ~id:_ ~n:_ ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input ~rand:_ ->
         let total = ref 0 in
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
@@ -179,8 +184,8 @@ let test_run_random_bits_accounted () =
       Bcast.name = "coin-flipper";
       msg_bits = 1;
       rounds = 3;
-      spawn =
-        (fun ~id:_ ~n:_ ~input:_ ~rand ->
+      start =
+        Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand ->
           {
             Bcast.send = (fun ~round:_ -> if Bcast.Rand_counter.bool rand then 1 else 0);
             receive = (fun ~round:_ _ -> ());
@@ -198,8 +203,8 @@ let test_run_reproducible () =
       Bcast.name = "coins";
       msg_bits = 1;
       rounds = 4;
-      spawn =
-        (fun ~id:_ ~n:_ ~input:_ ~rand ->
+      start =
+        Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand ->
           {
             Bcast.send = (fun ~round:_ -> if Bcast.Rand_counter.bool rand then 1 else 0);
             receive = (fun ~round:_ _ -> ());
@@ -221,8 +226,8 @@ let test_same_round_isolation () =
       Bcast.name = "echo";
       msg_bits = 1;
       rounds = 2;
-      spawn =
-        (fun ~id ~n:_ ~input:_ ~rand:_ ->
+      start =
+        Bcast.spawn_only (fun ~id ~n:_ ~input:_ ~rand:_ ->
           let last_seen = ref 0 in
           {
             Bcast.send =
@@ -237,6 +242,46 @@ let test_same_round_isolation () =
   (* Round 0: proc 0 sends 1. Round 1: everyone echoes 1. *)
   let round1 = Transcript.messages_of_round result.Bcast.transcript 1 in
   List.iter (fun (_, v) -> check_int "echoed" 1 v) round1
+
+(* The transcript and the public state take their round before any
+   processor receives it, so a processor that overwrites the shared
+   [messages] array changes neither. *)
+let test_overwritten_messages () =
+  let proto ~overwrite =
+    {
+      Bcast.name = "overwriter";
+      msg_bits = 2;
+      rounds = 3;
+      start =
+        (fun ~n ->
+          let seen = ref 0 in
+          {
+            Bcast.spawn =
+              (fun ~id ~input:_ ~rand:_ ->
+                {
+                  Bcast.send = (fun ~round -> (id + round) mod 4);
+                  receive =
+                    (fun ~round:_ messages ->
+                      if overwrite && id = 0 then Array.fill messages 0 n 3);
+                  finish = (fun () -> !seen);
+                });
+            public =
+              (fun ~round:_ messages ->
+                seen := !seen + Array.fold_left ( + ) 0 messages);
+          });
+    }
+  in
+  let inputs = Array.init 5 (fun _ -> Bitvec.create 1) in
+  let clean = Bcast.run_deterministic (proto ~overwrite:false) ~inputs in
+  let dirty = Bcast.run_deterministic (proto ~overwrite:true) ~inputs in
+  check_string "transcript unchanged" (Transcript.key clean.Bcast.transcript)
+    (Transcript.key dirty.Bcast.transcript);
+  Alcotest.(check (list (pair int int)))
+    "round 1 as sent"
+    [ (0, 1); (1, 2); (2, 3); (3, 0); (4, 1) ]
+    (Transcript.messages_of_round dirty.Bcast.transcript 1);
+  Alcotest.(check (array int)) "public state unchanged" clean.Bcast.outputs
+    dirty.Bcast.outputs
 
 let test_map_output () =
   let proto = Bcast.map_output (fun s -> s * 10) (sum_protocol ~rounds:1) in
@@ -416,6 +461,7 @@ let () =
           Alcotest.test_case "random bits accounted" `Quick test_run_random_bits_accounted;
           Alcotest.test_case "reproducible" `Quick test_run_reproducible;
           Alcotest.test_case "same round isolation" `Quick test_same_round_isolation;
+          Alcotest.test_case "overwritten messages" `Quick test_overwritten_messages;
           Alcotest.test_case "map_output" `Quick test_map_output;
           Alcotest.test_case "with_rounds" `Quick test_with_rounds;
           Alcotest.test_case "msg_bits_for_log_n" `Quick test_msg_bits_for_log_n;

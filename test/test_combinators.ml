@@ -10,8 +10,8 @@ let count_ones_protocol ~rounds =
     Bcast.name = "count-ones";
     msg_bits = 1;
     rounds;
-    spawn =
-      (fun ~id:_ ~n:_ ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input ~rand:_ ->
         let total = ref 0 in
         {
           Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
@@ -26,8 +26,8 @@ let max_bit_protocol =
     Bcast.name = "max-bit";
     msg_bits = 1;
     rounds = 1;
-    spawn =
-      (fun ~id:_ ~n:_ ~input ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input ~rand:_ ->
         let best = ref 0 in
         {
           Bcast.send = (fun ~round:_ -> if Bitvec.get input 0 then 1 else 0);

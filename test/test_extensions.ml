@@ -48,7 +48,15 @@ let test_lift_broadcast_equivalent () =
   let inputs = Array.init 4 (fun _ -> Prng.bitvec g m) in
   let rb = Bcast.run_deterministic bp ~inputs in
   let ru = Unicast.run_deterministic up ~inputs in
-  check_bool "same outputs" true (rb.Bcast.outputs = ru.Unicast.outputs)
+  check_bool "same outputs" true (rb.Bcast.outputs = ru.Unicast.outputs);
+  (* With public state: each lifted processor steps its own copy. *)
+  let n = 32 and k = 16 in
+  let graph, _ = Planted.sample_planted (Prng.create 5) ~n ~k in
+  let inputs = Array.init n (Digraph.out_row graph) in
+  let pc = Planted_clique_algo.protocol ~n ~k in
+  let rb = Bcast.run pc ~inputs ~rand:(Prng.create 6) in
+  let ru = Unicast.run (Unicast.lift_broadcast pc) ~inputs ~rand:(Prng.create 6) in
+  check_bool "same outputs with public state" true (rb.Bcast.outputs = ru.Unicast.outputs)
 
 let test_unicast_channel_accounting () =
   let up = Unicast.lift_broadcast (Equality.deterministic_protocol ~m:5) in

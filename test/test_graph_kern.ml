@@ -1,7 +1,8 @@
 (* Property tests for the packed graph kernels (Bcc_kern.Graph), the
-   no-alloc Bitvec combinators underneath them, the batched samplers, and
-   the structural protocol caches — each against its naive oracle, at
-   word-boundary sizes, plus the artifact determinism contract. *)
+   no-alloc Bitvec combinators underneath them and the batched samplers —
+   each against its naive oracle, at word-boundary sizes — plus the
+   domain safety of the protocols' per-run public state and the artifact
+   determinism contract. *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -323,39 +324,57 @@ let test_count_common_out_neighbors () =
       (Digraph.count_common_out_neighbors graph i j)
   done
 
-(* ------------------------------------------------------ protocol caches *)
+(* ------------------------------------------------- per-run public state *)
 
-let test_planted_clique_cache_identical_outcomes () =
-  let n = 64 and k = 24 in
-  let g = Prng.create 401 in
+(* One protocol value, run 8 times inside [Par] at 4 domains, gives the
+   outputs and transcripts of 8 sequential runs: its public state is made
+   per run, so concurrent runs share nothing. *)
+let par_matches_sequential proto ~inputs_of =
+  let one i =
+    let g = Prng.create (500 + i) in
+    let inputs = inputs_of g in
+    let r = Bcast.run proto ~inputs ~rand:g in
+    (r.Bcast.outputs, Transcript.key r.Bcast.transcript)
+  in
+  let sequential = Array.init 8 one in
+  let old = Par.domain_count () in
+  let parallel =
+    Fun.protect
+      ~finally:(fun () -> Par.set_domain_count old)
+      (fun () ->
+        Par.set_domain_count 4;
+        Par.map_array one (Array.init 8 Fun.id))
+  in
+  check_bool "outputs" true (Array.map fst sequential = Array.map fst parallel);
+  Alcotest.(check (array string))
+    "transcript keys" (Array.map snd sequential) (Array.map snd parallel)
+
+let planted_rows ~n ~k g =
   let graph, _ = Planted.sample_planted g ~n ~k in
-  let inputs = Array.init n (Digraph.out_row graph) in
-  (* Same protocol value twice: the second run is all cache hits.  A fresh
-     protocol value is all misses.  Outcomes must agree bit for bit. *)
-  let proto = Planted_clique_algo.protocol ~n ~k in
-  let r1 = Bcast.run proto ~inputs ~rand:(Prng.create 402) in
-  let r2 = Bcast.run proto ~inputs ~rand:(Prng.create 402) in
-  let fresh =
-    Bcast.run (Planted_clique_algo.protocol ~n ~k) ~inputs ~rand:(Prng.create 402)
-  in
-  check_bool "hit = miss" true (r1.Bcast.outputs = r2.Bcast.outputs);
-  check_bool "fresh protocol agrees" true (r1.Bcast.outputs = fresh.Bcast.outputs)
+  Array.init n (Digraph.out_row graph)
 
-let test_sampled_clique_cache_identical_outcomes () =
-  let n = 48 in
-  let g = Prng.create 403 in
-  let graph, _ = Planted.sample_planted g ~n ~k:16 in
-  let inputs = Array.init n (Digraph.out_row graph) in
-  let proto = Distinguisher_protocols.sampled_clique_protocol ~n ~sample_size:20 in
-  let r1 = Bcast.run proto ~inputs ~rand:(Prng.create 404) in
-  let r2 = Bcast.run proto ~inputs ~rand:(Prng.create 404) in
-  let fresh =
-    Bcast.run
-      (Distinguisher_protocols.sampled_clique_protocol ~n ~sample_size:20)
-      ~inputs ~rand:(Prng.create 404)
-  in
-  check_bool "hit = miss" true (r1.Bcast.outputs = r2.Bcast.outputs);
-  check_bool "fresh protocol agrees" true (r1.Bcast.outputs = fresh.Bcast.outputs)
+let test_planted_clique_public_state_par () =
+  par_matches_sequential
+    (Planted_clique_algo.protocol ~n:64 ~k:24)
+    ~inputs_of:(planted_rows ~n:64 ~k:24)
+
+let test_sampled_clique_public_state_par () =
+  par_matches_sequential
+    (Distinguisher_protocols.sampled_clique_protocol ~n:48 ~sample_size:20)
+    ~inputs_of:(planted_rows ~n:48 ~k:16)
+
+let test_degree_public_state_par () =
+  par_matches_sequential
+    (Distinguisher_protocols.degree_protocol ~n:48)
+    ~inputs_of:(planted_rows ~n:48 ~k:16)
+
+let test_connectivity_public_state_par () =
+  let n = 16 in
+  par_matches_sequential
+    (Connectivity.protocol (Connectivity.default_config ~n ~seed:5))
+    ~inputs_of:(fun g ->
+      let graph = Gnp.sample_fast g ~n ~p:0.15 in
+      Array.init n (Digraph.out_row graph))
 
 (* ----------------------------------------------------- artifact pinning *)
 
@@ -417,12 +436,16 @@ let () =
           Alcotest.test_case "count_common_out_neighbors" `Quick
             test_count_common_out_neighbors;
         ] );
-      ( "caches",
+      ( "public state",
         [
-          Alcotest.test_case "planted-clique cache hit = miss" `Quick
-            test_planted_clique_cache_identical_outcomes;
-          Alcotest.test_case "sampled-clique cache hit = miss" `Quick
-            test_sampled_clique_cache_identical_outcomes;
+          Alcotest.test_case "planted-clique par = sequential" `Quick
+            test_planted_clique_public_state_par;
+          Alcotest.test_case "sampled-clique par = sequential" `Quick
+            test_sampled_clique_public_state_par;
+          Alcotest.test_case "degree-summary par = sequential" `Quick
+            test_degree_public_state_par;
+          Alcotest.test_case "connectivity par = sequential" `Quick
+            test_connectivity_public_state_par;
         ] );
       ( "artifacts",
         [

@@ -245,8 +245,8 @@ let test_protocol_gap_detects () =
       Bcast.name = "peek";
       msg_bits = 1;
       rounds = 1;
-      spawn =
-        (fun ~id:_ ~n:_ ~input ~rand:_ ->
+      start =
+        Bcast.spawn_only (fun ~id:_ ~n:_ ~input ~rand:_ ->
           {
             Bcast.send = (fun ~round:_ -> if Bitvec.get input 0 then 1 else 0);
             receive = (fun ~round:_ _ -> ());

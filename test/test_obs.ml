@@ -13,8 +13,8 @@ let const_proto name msg_bits rounds v =
     Bcast.name;
     msg_bits;
     rounds;
-    spawn =
-      (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
         {
           Bcast.send = (fun ~round:_ -> v);
           receive = (fun ~round:_ _ -> ());
@@ -28,8 +28,8 @@ let random_proto msg_bits rounds =
     Bcast.name = "random";
     msg_bits;
     rounds;
-    spawn =
-      (fun ~id:_ ~n:_ ~input:_ ~rand ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand ->
         {
           Bcast.send = (fun ~round:_ -> Bcast.Rand_counter.bits rand msg_bits);
           receive = (fun ~round:_ _ -> ());
@@ -197,6 +197,38 @@ let test_golden_trace_digests () =
     "trace digest per protocol" golden_traces
     (List.map (fun name -> (name, digest name)) Runner.names)
 
+(* An out-of-range value is rejected right after its sender's Broadcast
+   event, so a traced run that fails there ends its broadcasts at that
+   sender. *)
+let test_bad_value_ends_broadcasts () =
+  let proto =
+    {
+      Bcast.name = "bad-third";
+      msg_bits = 1;
+      rounds = 1;
+      start =
+        Bcast.spawn_only (fun ~id ~n:_ ~input:_ ~rand:_ ->
+          {
+            Bcast.send = (fun ~round:_ -> if id = 2 then 2 else 1);
+            receive = (fun ~round:_ _ -> ());
+            finish = (fun () -> ());
+          });
+    }
+  in
+  let (), events =
+    Sink.capture (fun () ->
+        match Bcast.run_deterministic proto ~inputs:(inputs 4) with
+        | _ -> Alcotest.fail "out-of-range value accepted"
+        | exception Invalid_argument msg ->
+            check_string "message" "Transcript.append: message value out of range" msg)
+  in
+  Alcotest.(check (list int))
+    "broadcast senders" [ 0; 1; 2 ]
+    (List.filter_map
+       (fun e ->
+         match e.Trace.payload with Trace.Broadcast { sender; _ } -> Some sender | _ -> None)
+       events)
+
 (* --- the span API --- *)
 
 (* A one-round protocol whose processors raise in [receive]. *)
@@ -205,8 +237,8 @@ let raising_proto =
     Bcast.name = "raiser";
     msg_bits = 1;
     rounds = 1;
-    spawn =
-      (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
         {
           Bcast.send = (fun ~round:_ -> 0);
           receive = (fun ~round:_ _ -> failwith "processor fault");
@@ -301,7 +333,13 @@ let test_write_file_creates_parents () =
       check_bool "read back" true (Artifact.read_file ~path = j);
       (* An existing directory is fine the second time. *)
       Artifact.write_file ~path j;
-      check_bool "rewritten" true (Artifact.read_file ~path = j))
+      check_bool "rewritten" true (Artifact.read_file ~path = j);
+      (* A file in the path is a Sys_error, which the CLI maps to a usage
+         error, never an uncaught Unix_error. *)
+      check_bool "file as parent" true
+        (match Artifact.write_file ~path:(Filename.concat (Filename.concat path "sub") "y.json") j with
+        | () -> false
+        | exception Sys_error _ -> true))
 
 let test_json_parser_edges () =
   let roundtrip s = Artifact.to_string (Artifact.of_string s) in
@@ -522,6 +560,8 @@ let () =
           Alcotest.test_case "span helper" `Quick test_span_helper;
           Alcotest.test_case "byte-identical traces" `Quick test_trace_determinism;
           Alcotest.test_case "golden digests" `Quick test_golden_trace_digests;
+          Alcotest.test_case "bad value ends the broadcasts" `Quick
+            test_bad_value_ends_broadcasts;
         ] );
       ( "span API",
         [

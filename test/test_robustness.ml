@@ -12,8 +12,8 @@ let constant_protocol value ~msg_bits =
     Bcast.name = "constant";
     msg_bits;
     rounds = 1;
-    spawn =
-      (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
+    start =
+      Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
         {
           Bcast.send = (fun ~round:_ -> value);
           receive = (fun ~round:_ _ -> ());
@@ -60,8 +60,8 @@ let test_tape_overdraw_fails_loudly () =
       Bcast.name = "greedy";
       msg_bits = 1;
       rounds = 1;
-      spawn =
-        (fun ~id:_ ~n:_ ~input:_ ~rand ->
+      start =
+        Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand ->
           {
             Bcast.send =
               (fun ~round:_ ->
@@ -88,8 +88,8 @@ let test_deterministic_runner_rejects_randomized () =
       Bcast.name = "coin";
       msg_bits = 1;
       rounds = 1;
-      spawn =
-        (fun ~id:_ ~n:_ ~input:_ ~rand ->
+      start =
+        Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand ->
           {
             Bcast.send = (fun ~round:_ -> if Bcast.Rand_counter.bool rand then 1 else 0);
             receive = (fun ~round:_ _ -> ());
