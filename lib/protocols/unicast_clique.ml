@@ -17,9 +17,6 @@ let protocol ~n ~seed_size =
   let w = msg_bits_for n in
   let upload_rounds = (n + w - 1) / w in
   let committee_size = min n 3 in
-  (* The committee members all compute the same clique; share the work
-     across the per-processor closures of one protocol value. *)
-  let cache : (string, int list) Hashtbl.t = Hashtbl.create 4 in
   {
     Unicast.name = Printf.sprintf "unicast-committee-clique(n=%d,seed=%d)" n seed_size;
     msg_bits = w;
@@ -41,15 +38,9 @@ let protocol ~n ~seed_size =
           !v
         in
         let committee_clique rows =
-          let key = String.concat ";" (Array.to_list (Array.map Bitvec.to_string rows)) in
-          match Hashtbl.find_opt cache key with
-          | Some c -> c
-          | None ->
-              let g = Digraph.create n in
-              Array.iteri (fun i r -> Digraph.set_out_row g i r) rows;
-              let found = Clique.quasi_poly_find g ~seed_size in
-              Hashtbl.replace cache key found;
-              found
+          let g = Digraph.create n in
+          Array.iteri (fun i r -> Digraph.set_out_row g i r) rows;
+          Clique.quasi_poly_find g ~seed_size
         in
         {
           Unicast.send =
