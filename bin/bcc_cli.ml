@@ -17,6 +17,18 @@ open Cmdliner
    error (exit 124, one line on stderr), not an uncaught exception. *)
 let writing f = try f () with Sys_error msg -> Error (`Msg msg)
 
+(* Every name a command is given is checked before it runs any, so an
+   unknown one is a usage error with one stderr line and no output. *)
+let check_known ~what ~known names =
+  match List.filter (fun name -> not (List.mem name known)) names with
+  | [] -> Ok ()
+  | unknown ->
+      Error
+        (`Msg
+           (Printf.sprintf "unknown %s %s (known: %s)" what
+              (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
+              (String.concat ", " known)))
+
 (* ----------------------------------------------------------------- run *)
 
 let run_experiments list_only csv artifacts_dir ids seed =
@@ -25,6 +37,8 @@ let run_experiments list_only csv artifacts_dir ids seed =
     Ok ()
   end
   else
+    Result.bind (check_known ~what:"experiment" ~known:Experiments.ids ids)
+    @@ fun () ->
     writing @@ fun () ->
     Option.iter Artifact.ensure_dir artifacts_dir;
     let targets =
@@ -32,25 +46,18 @@ let run_experiments list_only csv artifacts_dir ids seed =
       | [] -> Experiments.ids
       | ids -> ids
     in
-    let ok = ref true in
     List.iter
       (fun id ->
-        match Experiments.by_id id with
-        | Some f ->
-            let table = f ~seed () in
-            if csv then print_string (Experiments.to_csv table)
-            else Experiments.print Format.std_formatter table;
-            Option.iter
-              (fun dir ->
-                let path = Experiments.write_artifact ~dir ~seed table in
-                Format.eprintf "wrote %s@." path)
-              artifacts_dir
-        | None ->
-            Format.eprintf "unknown experiment %S (known: %s)@." id
-              (String.concat ", " Experiments.ids);
-            ok := false)
+        let table = (Option.get (Experiments.by_id id)) ~seed () in
+        if csv then print_string (Experiments.to_csv table)
+        else Experiments.print Format.std_formatter table;
+        Option.iter
+          (fun dir ->
+            let path = Experiments.write_artifact ~dir ~seed table in
+            Format.eprintf "wrote %s@." path)
+          artifacts_dir)
       targets;
-    if !ok then Ok () else Error (`Msg "unknown experiment id")
+    Ok ()
 
 let list_arg =
   let doc = "List the known experiment ids and exit." in
@@ -99,12 +106,9 @@ let run_trace list_only jsonl out proto seed =
   else
     match proto with
     | None -> Error (`Msg "missing PROTO argument (try --list)")
-    | Some name when not (List.mem name Runner.names) ->
-        Error
-          (`Msg
-             (Printf.sprintf "unknown protocol %S (known: %s)" name
-                (String.concat ", " Runner.names)))
     | Some name ->
+        Result.bind (check_known ~what:"protocol" ~known:Runner.names [ name ])
+        @@ fun () ->
         writing @@ fun () ->
         Option.iter
           (fun path ->
@@ -157,35 +161,23 @@ let trace_cmd =
 
 let run_metrics json protos replicas ids seed =
   if replicas < 1 then Error (`Msg "--replicas must be >= 1")
-  else begin
-  Metrics.set_collecting true;
-  let ok = ref true in
-  List.iter
-    (fun name ->
-      if List.mem name Runner.names then
+  else
+    Result.bind (check_known ~what:"protocol" ~known:Runner.names protos)
+    @@ fun () ->
+    Result.bind (check_known ~what:"experiment" ~known:Experiments.ids ids)
+    @@ fun () ->
+    Metrics.set_collecting true;
+    List.iter
+      (fun name ->
         if replicas = 1 then ignore (Runner.run ~name ~seed)
-        else ignore (Runner.run_replicas ~name ~seed ~replicas)
-      else begin
-        Format.eprintf "unknown protocol %S (known: %s)@." name
-          (String.concat ", " Runner.names);
-        ok := false
-      end)
-    protos;
-  let targets = if ids = [] && protos = [] then Experiments.ids else ids in
-  List.iter
-    (fun id ->
-      match Experiments.by_id id with
-      | Some f -> ignore (f ~seed ())
-      | None ->
-          Format.eprintf "unknown experiment %S (known: %s)@." id
-            (String.concat ", " Experiments.ids);
-          ok := false)
-    targets;
-  Metrics.set_collecting false;
-  if json then print_string (Metrics.to_json () ^ "\n")
-  else Metrics.pp Format.std_formatter (Metrics.snapshot ());
-  if !ok then Ok () else Error (`Msg "unknown experiment or protocol id")
-  end
+        else ignore (Runner.run_replicas ~name ~seed ~replicas))
+      protos;
+    let targets = if ids = [] && protos = [] then Experiments.ids else ids in
+    List.iter (fun id -> ignore ((Option.get (Experiments.by_id id)) ~seed ())) targets;
+    Metrics.set_collecting false;
+    if json then print_string (Metrics.to_json () ^ "\n")
+    else Metrics.pp Format.std_formatter (Metrics.snapshot ());
+    Ok ()
 
 let metrics_json_arg =
   let doc = "Emit the metrics snapshot as JSON instead of text." in

@@ -60,11 +60,14 @@ module Rand_counter = struct
     check_domain r;
     r.used <- r.used + w;
     trace_draw r "bits" w;
-    let v = ref 0 in
-    for i = 0 to w - 1 do
-      if bool_uncounted r then v := !v lor (1 lsl i)
-    done;
-    !v
+    match r.source with
+    | Stream g -> Prng.bool_bits g w
+    | Tape _ | Deterministic ->
+        let v = ref 0 in
+        for i = 0 to w - 1 do
+          if bool_uncounted r then v := !v lor (1 lsl i)
+        done;
+        !v
 
   let bitvec r len =
     check_domain r;
@@ -160,9 +163,14 @@ let simulate proto ~inputs ~sources =
     Array.init n (fun id -> inst.spawn ~id ~input:inputs.(id) ~rand:sources.(id))
   in
   let transcript = ref (Transcript.empty ~msg_bits:proto.msg_bits) in
+  (* One buffer per run, refilled every round; [public] and [receive]
+     may read it only during their call. *)
+  let messages = Array.make n 0 in
   for round = 0 to proto.rounds - 1 do
     if traced then Trace.emit ~scope (Trace.Round_start { round; n });
-    let messages = Array.map (fun p -> p.send ~round) procs in
+    for id = 0 to n - 1 do
+      messages.(id) <- procs.(id).send ~round
+    done;
     (* Traced, each value is checked right after its own event, so a bad
        value ends the stream at its sender; untraced, [append] checks. *)
     if traced then
@@ -174,7 +182,9 @@ let simulate proto ~inputs ~sources =
         messages;
     transcript := Transcript.append !transcript messages;
     inst.public ~round messages;
-    Array.iter (fun p -> p.receive ~round messages) procs;
+    for id = 0 to n - 1 do
+      procs.(id).receive ~round messages
+    done;
     if traced then
       Trace.emit ~scope (Trace.Round_end { round; n; msg_bits = proto.msg_bits })
   done;

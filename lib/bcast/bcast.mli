@@ -62,7 +62,10 @@ type 'out processor = {
       Called exactly once per round, before {!receive} for that round. *)
   receive : round:int -> int array -> unit;
   (** All [n] messages of the round, indexed by sender.  Every processor
-      is handed the same array; the transcript keeps its own copy. *)
+      is handed the same array: the simulator's one message buffer of the
+      run, valid only during the call and refilled next round.  A
+      processor that needs a message later copies it out; the transcript
+      keeps its own copy. *)
   finish : unit -> 'out;
   (** The processor's final output, after the last round. *)
 }
@@ -77,8 +80,10 @@ type 'out instance = {
       clique of Appendix B, the merged components of a sketching
       protocol) is computed here once instead of [n] times.  It sees no
       input and no randomness, opens no span and emits no trace event;
-      processors only read the state.  It must not keep [messages], which
-      the processors may overwrite. *)
+      processors only read the state.  [messages] is the simulator's
+      per-run buffer, as in {!processor.receive}: valid only during the
+      call, refilled next round, and open to processors' writes, so the
+      state must not keep it. *)
 }
 (** One run of a protocol: its public state, held in the closures of
     [spawn] and [public], and the way to spawn its processors. *)

@@ -7,8 +7,9 @@
     the only channel through which information about private inputs
     spreads, and the object whose distribution the lower bounds control.
 
-    It is stored as one array per round: round [r] is the [r]-th array
-    appended, and its index [i] is sender [i].  Turns number the
+    It is stored as one packed copy per round: round [r] is the [r]-th
+    round appended, and its [i]-th message is sender [i]'s, held in 1, 2
+    or 4 bytes (the least that fits [msg_bits]).  Turns number the
     broadcasts of all rounds in order. *)
 
 type entry = { turn : int; round : int; sender : int; value : int }
@@ -28,8 +29,8 @@ val check_value : t -> int -> unit
 val append : t -> int array -> t
 (** [append t messages] adds one round, [messages.(i)] sent by
     processor [i], after checking every value with {!check_value}.
-    Functional (persistent): the round is copied, so the caller may
-    reuse or overwrite [messages], and [t] is unchanged. *)
+    Functional (persistent): the round is copied, packed, so the caller
+    may reuse or overwrite [messages], and [t] is unchanged. *)
 
 val length : t -> int
 val entries : t -> entry list

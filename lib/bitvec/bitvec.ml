@@ -275,20 +275,6 @@ let compare a b =
     go 0
   end
 
-let hash v =
-  (* FNV-1a-style fold over the words, splitting each int64 into two
-     halves that fit OCaml's int; explicit so the hash never depends on
-     polymorphic structural hashing. *)
-  let fnv_prime = 0x01000193 in
-  let mix h x = (h lxor x) * fnv_prime land max_int in
-  let h = ref (mix 0x811c9dc5 v.len) in
-  Array.iter
-    (fun w ->
-      h := mix !h (Int64.to_int (Int64.logand w 0xffffffffL));
-      h := mix !h (Int64.to_int (Int64.shift_right_logical w 32)))
-    v.words;
-  !h
-
 let blit ~src ~src_pos ~dst ~dst_pos ~len =
   if len < 0 || src_pos < 0 || dst_pos < 0
      || src_pos + len > src.len || dst_pos + len > dst.len

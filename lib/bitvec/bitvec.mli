@@ -109,7 +109,6 @@ val dot : t -> t -> bool
 
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val hash : t -> int
 
 (** {1 Slicing and concatenation} *)
 

@@ -1,27 +1,27 @@
-let sample_rand g n =
+(* Row [i] is one [Prng.bitvec] draw, ORed with [mask] when [i] is in
+   [mask].  [Prng.bitvec] writes whole 64-bit draws into the packed
+   words, and installing (not copying) the row keeps the per-row cost at
+   one allocation; [install_out_row] clears the diagonal, so a clique
+   row gains exactly the edges to the other members. *)
+let sample_masked g n mask =
   let graph = Digraph.create n in
   for i = 0 to n - 1 do
-    (* [Prng.bitvec] writes whole 64-bit draws into the packed words;
-       installing (not copying) the fresh row keeps the per-row cost at
-       one allocation.  Stream order and the sampled graph are exactly
-       the set_out_row path's. *)
-    Digraph.install_out_row graph i (Prng.bitvec g n)
+    let row = Prng.bitvec g n in
+    Digraph.install_out_row graph i
+      (if Bitvec.get mask i then Bitvec.logor row mask else row)
   done;
   graph
 
+let sample_rand g n = sample_masked g n (Bitvec.create n)
+
 let sample_planted_at g n c =
-  let graph = sample_rand g n in
+  let mask = Bitvec.create n in
   List.iter
-    (fun i ->
-      List.iter
-        (fun j ->
-          if i <> j then begin
-            Digraph.add_edge graph i j;
-            Digraph.add_edge graph j i
-          end)
-        c)
+    (fun v ->
+      if v < 0 || v >= n then invalid_arg "Planted.sample_planted_at: vertex out of range";
+      Bitvec.set mask v true)
     c;
-  graph
+  sample_masked g n mask
 
 let sample_planted g ~n ~k =
   let c = Prng.subset g ~n ~k in

@@ -659,8 +659,9 @@ let sample_gnp_sharded g ~n ~p =
    clique row becomes its own one-row segment: the sorted union of its
    sampled pairs, gathered from every segment the row straddles, and
    the clique members above it — a clique pair the base graph already
-   holds appears once, like [Planted.sample_planted_at]'s idempotent
-   [add_edge] calls on the dense side.  Runs of other rows stay where
+   holds appears once, like the clique mask that
+   [Planted.sample_planted_at] ORs into each clique row on the dense
+   side.  Runs of other rows stay where
    they are as [Bigarray.Array1.sub] views of the decode buffers (a
    segment with no clique row passes through whole), so nothing but the
    k clique rows is copied.  Clique rows no segment covers (a row with

@@ -84,9 +84,12 @@ let copy g =
 let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 g =
-  let st = g.st in
-  check_st st;
+(* One xoshiro256++ step on the four state words: the draw every scalar
+   and batched path shares.  Inlined, its [int64]s stay unboxed, so a
+   caller that consumes the result unboxed (a Bigarray store, a low-bit
+   test) allocates nothing. *)
+(* bcc-lint: allow kern/unsafe-index — indices 0..3 of the state words; every caller runs check_st on st first *)
+let[@inline] step st =
   let s0 = st_get st 0 in
   let s1 = st_get st 1 in
   let s2 = st_get st 2 in
@@ -105,7 +108,24 @@ let bits64 g =
   st_set st 3 s3;
   result
 
-let bool g = Int64.logand (bits64 g) 1L = 1L
+let bits64 g =
+  check_st g.st;
+  step g.st
+
+let bool g =
+  check_st g.st;
+  Int64.logand (step g.st) 1L = 1L
+
+(* bcc-lint: noalloc *)
+let bool_bits g w =
+  if w < 0 || w > 62 then invalid_arg "Prng.bool_bits: width in [0,62]";
+  let st = g.st in
+  check_st st;
+  let v = ref 0 in
+  for i = 0 to w - 1 do
+    v := !v lor ((Int64.to_int (step st) land 1) lsl i)
+  done;
+  !v
 
 let int g n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -146,23 +166,7 @@ module Block = struct
     let st = g.st in
     check_st st;
     for i = pos to pos + len - 1 do
-      let s0 = st_get st 0 in
-      let s1 = st_get st 1 in
-      let s2 = st_get st 2 in
-      let s3 = st_get st 3 in
-      let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
-      let t = Int64.shift_left s1 17 in
-      let s2 = Int64.logxor s2 s0 in
-      let s3 = Int64.logxor s3 s1 in
-      let s1 = Int64.logxor s1 s2 in
-      let s0 = Int64.logxor s0 s3 in
-      let s2 = Int64.logxor s2 t in
-      let s3 = rotl s3 45 in
-      st_set st 0 s0;
-      st_set st 1 s1;
-      st_set st 2 s2;
-      st_set st 3 s3;
-      i64_set buf i result
+      i64_set buf i (step st)
     done
 
   (* bcc-lint: noalloc *)
@@ -171,22 +175,7 @@ module Block = struct
     let st = g.st in
     check_st st;
     for i = pos to pos + len - 1 do
-      let s0 = st_get st 0 in
-      let s1 = st_get st 1 in
-      let s2 = st_get st 2 in
-      let s3 = st_get st 3 in
-      let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
-      let t = Int64.shift_left s1 17 in
-      let s2 = Int64.logxor s2 s0 in
-      let s3 = Int64.logxor s3 s1 in
-      let s1 = Int64.logxor s1 s2 in
-      let s0 = Int64.logxor s0 s3 in
-      let s2 = Int64.logxor s2 t in
-      let s3 = rotl s3 45 in
-      st_set st 0 s0;
-      st_set st 1 s1;
-      st_set st 2 s2;
-      st_set st 3 s3;
+      let result = step st in
       (* The geometric-skip decode of [Gnp.sample_fast], verbatim: the
          same [Float.log] (not [log1p]: not bit-identical) and the same
          cap-before-truncate.  Fused here so a sampler pass needs no

@@ -30,9 +30,9 @@ let expected_success_probability ~n ~k =
 type public = {
   mutable actives : int array;  (** Active vertices, ascending; fixed after round 0. *)
   mutable aborted : bool;
-  mutable cols : Bitvec.t list;
-      (** Newest first; column [r] holds everyone's adjacency bit to the
-          [r]-th active vertex. *)
+  mutable rows : Bitvec.t array;
+      (** Row [ai] has bit [r] iff the [ai]-th active vertex broadcast 1
+          in edge round [r]: its adjacency to the [r]-th active vertex. *)
   mutable clique : int list option;
       (** [C_active], computed on first read; reads come after the last
           edge round. *)
@@ -46,15 +46,10 @@ let active_clique pub =
   | Some c -> c
   | None ->
       let active_arr = pub.actives in
-      let na = Array.length active_arr in
-      let cols = Array.of_list (List.rev pub.cols) in
-      let sub = Digraph.create na in
-      for ai = 0 to na - 1 do
-        for aj = 0 to na - 1 do
-          if ai <> aj && Bitvec.get cols.(aj) active_arr.(ai) then
-            Digraph.add_edge sub ai aj
-        done
-      done;
+      let sub = Digraph.create (Array.length active_arr) in
+      (* [install_out_row] clears each row's diagonal bit, and the rows
+         are read nowhere else. *)
+      Array.iteri (Digraph.install_out_row sub) pub.rows;
       let local = Clique.max_clique sub in
       let c = List.sort Int.compare (List.map (fun i -> active_arr.(i)) local) in
       pub.clique <- Some c;
@@ -68,15 +63,20 @@ let ones messages =
   done;
   !acc
 
-let step ~n ~cap pub ~round messages =
+let step ~cap pub ~round messages =
   if round = 0 then begin
     pub.actives <- Array.of_list (ones messages);
-    if Array.length pub.actives > cap then pub.aborted <- true
+    let na = Array.length pub.actives in
+    if na > cap then pub.aborted <- true
+    else pub.rows <- Array.init na (fun _ -> Bitvec.create na)
   end
   else if pub.aborted then ()
   else if round <= cap then begin
-    if round - 1 < Array.length pub.actives then
-      pub.cols <- Bitvec.init n (fun i -> messages.(i) = 1) :: pub.cols
+    let r = round - 1 in
+    if r < Array.length pub.actives then
+      Array.iteri
+        (fun ai v -> if messages.(v) = 1 then Bitvec.set pub.rows.(ai) r true)
+        pub.actives
   end
   else pub.claimed <- List.merge Int.compare (ones messages) pub.claimed
 
@@ -92,7 +92,7 @@ let protocol ~n ~k =
       (fun ~n:n' ->
         if n' <> n then invalid_arg "Planted_clique_algo: processor count mismatch";
         let pub =
-          { actives = [||]; aborted = false; cols = []; clique = None; claimed = [] }
+          { actives = [||]; aborted = false; rows = [||]; clique = None; claimed = [] }
         in
         {
           Bcast.spawn =
@@ -139,6 +139,6 @@ let protocol ~n ~k =
                     then Aborted_small_clique
                     else Found pub.claimed);
               });
-          public = step ~n ~cap pub;
+          public = step ~cap pub;
         });
   }

@@ -1,34 +1,46 @@
 let rounds ~k = k + 1
 
+(* Every processor broadcasts bit [round] of its input. *)
+let send_bit input ~round = if Bitvec.get input round then 1 else 0
+
+(* Both protocols are a referee's check of the transcript, so the system
+   they test is the run's public state: collected once from the
+   broadcasts, and tested once, on the first read after the last round.
+   Processors only read the verdict. *)
+
 let protocol ~k =
   {
     Bcast.name = Printf.sprintf "seed-attack(k=%d)" k;
     msg_bits = 1;
     rounds = rounds ~k;
     start =
-      Bcast.spawn_only (fun ~id:_ ~n ~input ~rand:_ ->
-        if Bitvec.length input < k + 1 then
-          invalid_arg "Seed_attack: inputs must have at least k+1 bits";
-        (* seeds.(i) collects processor i's first k bits; last.(i) its
-           (k+1)-st bit. *)
+      (fun ~n ->
+        (* seeds.(i) collects processor i's first k bits; bit i of last
+           its (k+1)-st bit. *)
         let seeds = Array.init n (fun _ -> Bitvec.create k) in
-        let last = Array.make n false in
+        let last = Bitvec.create n in
+        (* Consistent with the PRG iff [X v = b] is solvable, where row i
+           of X is processor i's seed and b_i its extra bit. *)
+        let consistent =
+          lazy (Option.is_some (Gf2_matrix.solve (Gf2_matrix.of_rows seeds) last))
+        in
         {
-          Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
-          receive =
+          Bcast.spawn =
+            (fun ~id:_ ~input ~rand:_ ->
+              if Bitvec.length input < k + 1 then
+                invalid_arg "Seed_attack: inputs must have at least k+1 bits";
+              {
+                Bcast.send = send_bit input;
+                receive = (fun ~round:_ _ -> ());
+                finish = (fun () -> Lazy.force consistent);
+              });
+          public =
             (fun ~round messages ->
               Array.iteri
                 (fun i v ->
                   if round < k then Bitvec.set seeds.(i) round (v = 1)
-                  else last.(i) <- v = 1)
+                  else Bitvec.set last i (v = 1))
                 messages);
-          finish =
-            (fun () ->
-              (* Consistent with the PRG iff [X v = b] is solvable, where
-                 row i of X is processor i's seed and b_i its extra bit. *)
-              let x = Gf2_matrix.of_rows seeds in
-              let b = Bitvec.of_bool_array last in
-              Option.is_some (Gf2_matrix.solve x b));
         });
   }
 
@@ -38,16 +50,22 @@ let rank_test_protocol ~rounds =
     msg_bits = 1;
     rounds;
     start =
-      Bcast.spawn_only (fun ~id:_ ~n ~input ~rand:_ ->
-        if Bitvec.length input < rounds then
-          invalid_arg "Seed_attack.rank_test: inputs shorter than round budget";
+      (fun ~n ->
         let observed = Gf2_matrix.create ~rows:n ~cols:rounds in
+        let deficient = lazy (Gf2_matrix.rank observed < min n rounds) in
         {
-          Bcast.send = (fun ~round -> if Bitvec.get input round then 1 else 0);
-          receive =
+          Bcast.spawn =
+            (fun ~id:_ ~input ~rand:_ ->
+              if Bitvec.length input < rounds then
+                invalid_arg "Seed_attack.rank_test: inputs shorter than round budget";
+              {
+                Bcast.send = send_bit input;
+                receive = (fun ~round:_ _ -> ());
+                finish = (fun () -> Lazy.force deficient);
+              });
+          public =
             (fun ~round messages ->
               Array.iteri (fun i v -> Gf2_matrix.set observed i round (v = 1)) messages);
-          finish = (fun () -> Gf2_matrix.rank observed < min n rounds);
         });
   }
 

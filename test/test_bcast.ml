@@ -67,6 +67,47 @@ let test_transcript_selectors () =
     (Transcript.key (Transcript.append cut [| 1 |]))
     (Transcript.key p)
 
+(* A round is stored packed at 1, 2 or 4 bytes per message: at each
+   width's edges (msg_bits 1, 8 | 9, 16 | 17, 30) the least and the
+   greatest value read back unchanged through every reader. *)
+let test_transcript_widths () =
+  List.iter
+    (fun msg_bits ->
+      let top = (1 lsl msg_bits) - 1 in
+      let label what = Printf.sprintf "msg_bits %d: %s" msg_bits what in
+      let t = Transcript.empty ~msg_bits in
+      let t = Transcript.append t [| 0; top; 0 |] in
+      let t = Transcript.append t [| top; 0; top |] in
+      Alcotest.(check (list (triple int int int)))
+        (label "entries")
+        [ (0, 0, 0); (1, 0, top); (2, 0, 0); (3, 1, top); (4, 1, 0); (5, 1, top) ]
+        (List.map
+           (fun e -> (e.Transcript.turn, e.Transcript.round, e.Transcript.value))
+           (Transcript.entries t));
+      Alcotest.(check (list (pair int int)))
+        (label "round 1") [ (0, top); (1, 0); (2, top) ]
+        (Transcript.messages_of_round t 1);
+      Alcotest.(check (list (pair int int)))
+        (label "sender 1") [ (1, top); (4, 0) ]
+        (Transcript.messages_of_sender t 1);
+      check_string (label "key")
+        (Printf.sprintf "%d|0:0|1:%d|2:0|0:%d|1:0|2:%d" msg_bits top top top)
+        (Transcript.key t);
+      let p = Transcript.prefix t 4 in
+      Alcotest.(check (list (pair int int)))
+        (label "prefix cuts round 1") [ (0, top) ]
+        (Transcript.messages_of_round p 1);
+      check_string (label "prefix key")
+        (Printf.sprintf "%d|0:0|1:%d|2:0|0:%d" msg_bits top top)
+        (Transcript.key p);
+      List.iter
+        (fun bad ->
+          Alcotest.check_raises (label (string_of_int bad))
+            (Invalid_argument "Transcript.append: message value out of range")
+            (fun () -> ignore (Transcript.append t [| 0; bad |])))
+        [ top + 1; -1 ])
+    [ 1; 8; 9; 16; 17; 30 ]
+
 (* --- Rand_counter --- *)
 
 let test_rand_counter_counts () =
@@ -140,6 +181,33 @@ let test_bernoulli_charge () =
   let r = Bcast.Rand_counter.of_tape (Bitvec.create 30) in
   check_bool "zero tape" true (Bcast.Rand_counter.bernoulli r 0.0001);
   check_int "tape charged" 30 (Bcast.Rand_counter.bits_used r)
+
+(* [bits r w] charges [w] bits whatever the source, and a stream source
+   serves the same value as [w] [Prng.bool] draws packed LSB-first. *)
+let test_bits_charge_every_source () =
+  for w = 0 to 30 do
+    let label what = Printf.sprintf "w = %d: %s" w what in
+    let r = Bcast.Rand_counter.make (Prng.create 21) in
+    let g = Prng.create 21 in
+    let want = ref 0 in
+    for i = 0 to w - 1 do
+      if Prng.bool g then want := !want lor (1 lsl i)
+    done;
+    check_int (label "stream value") !want (Bcast.Rand_counter.bits r w);
+    check_int (label "stream charge") w (Bcast.Rand_counter.bits_used r);
+    let tape = Bitvec.init 30 (fun i -> i mod 3 = 0) in
+    let r = Bcast.Rand_counter.of_tape tape in
+    check_int (label "tape value")
+      (Bitvec.to_int (Bitvec.sub tape ~pos:0 ~len:w))
+      (Bcast.Rand_counter.bits r w);
+    check_int (label "tape charge") w (Bcast.Rand_counter.bits_used r)
+  done;
+  let r = Bcast.Rand_counter.deterministic () in
+  check_int "deterministic, w = 0" 0 (Bcast.Rand_counter.bits r 0);
+  check_int "deterministic charge" 0 (Bcast.Rand_counter.bits_used r);
+  Alcotest.check_raises "deterministic, w = 1"
+    (Failure "Rand_counter: deterministic processor drew randomness") (fun () ->
+      ignore (Bcast.Rand_counter.bits r 1))
 
 (* --- Bcast runner --- *)
 
@@ -282,6 +350,35 @@ let test_overwritten_messages () =
     (Transcript.messages_of_round dirty.Bcast.transcript 1);
   Alcotest.(check (array int)) "public state unchanged" clean.Bcast.outputs
     dirty.Bcast.outputs
+
+(* The simulator fills one message buffer per run and stores each round
+   as one packed copy: a null protocol at n = 256 allocates well under a
+   round array (257 words) per round.  Gc.minor_words counts the
+   spawned processors too, which the bound absorbs. *)
+let test_round_alloc () =
+  let rounds = 300 in
+  let proto =
+    {
+      Bcast.name = "null";
+      msg_bits = 1;
+      rounds;
+      start =
+        Bcast.spawn_only (fun ~id:_ ~n:_ ~input:_ ~rand:_ ->
+          {
+            Bcast.send = (fun ~round:_ -> 0);
+            receive = (fun ~round:_ _ -> ());
+            finish = (fun () -> ());
+          });
+    }
+  in
+  let inputs = Array.init 256 (fun _ -> Bitvec.create 1) in
+  ignore (Bcast.run_deterministic proto ~inputs);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (Bcast.run_deterministic proto ~inputs));
+  let per_round = (Gc.minor_words () -. before) /. float_of_int rounds in
+  check_bool
+    (Printf.sprintf "under 100 minor words per round (%.1f)" per_round)
+    true (per_round < 100.0)
 
 let test_map_output () =
   let proto = Bcast.map_output (fun s -> s * 10) (sum_protocol ~rounds:1) in
@@ -443,6 +540,7 @@ let () =
           Alcotest.test_case "persistence" `Quick test_transcript_persistence;
           Alcotest.test_case "keys" `Quick test_transcript_keys;
           Alcotest.test_case "selectors" `Quick test_transcript_selectors;
+          Alcotest.test_case "packed widths" `Quick test_transcript_widths;
         ] );
       ( "rand_counter",
         [
@@ -453,6 +551,8 @@ let () =
           Alcotest.test_case "int_below charge per attempt" `Quick
             test_int_below_charge_per_attempt;
           Alcotest.test_case "bernoulli exact charge" `Quick test_bernoulli_charge;
+          Alcotest.test_case "bits charge every source" `Quick
+            test_bits_charge_every_source;
         ] );
       ( "runner",
         [
@@ -462,6 +562,7 @@ let () =
           Alcotest.test_case "reproducible" `Quick test_run_reproducible;
           Alcotest.test_case "same round isolation" `Quick test_same_round_isolation;
           Alcotest.test_case "overwritten messages" `Quick test_overwritten_messages;
+          Alcotest.test_case "round allocation" `Quick test_round_alloc;
           Alcotest.test_case "map_output" `Quick test_map_output;
           Alcotest.test_case "with_rounds" `Quick test_with_rounds;
           Alcotest.test_case "msg_bits_for_log_n" `Quick test_msg_bits_for_log_n;

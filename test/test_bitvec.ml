@@ -104,13 +104,12 @@ let test_dot () =
   let c = Bitvec.of_string "111" in
   check_bool "dot even" false (Bitvec.dot a c)
 
-let test_equal_compare_hash () =
+let test_equal_compare () =
   let a = Bitvec.of_string "10101" in
   let b = Bitvec.of_string "10101" in
   let c = Bitvec.of_string "10100" in
   check_bool "equal" true (Bitvec.equal a b);
   check_bool "not equal" false (Bitvec.equal a c);
-  check_int "hash equal" (Bitvec.hash a) (Bitvec.hash b);
   check_bool "compare 0" true (Bitvec.compare a b = 0);
   check_bool "compare diff lens" true (Bitvec.compare a (Bitvec.create 3) <> 0)
 
@@ -228,7 +227,7 @@ let () =
           Alcotest.test_case "xor_inplace" `Quick test_xor_inplace;
           Alcotest.test_case "length mismatch" `Quick test_length_mismatch;
           Alcotest.test_case "dot product" `Quick test_dot;
-          Alcotest.test_case "equal/compare/hash" `Quick test_equal_compare_hash;
+          Alcotest.test_case "equal/compare" `Quick test_equal_compare;
           Alcotest.test_case "sub/concat" `Quick test_sub_concat;
           Alcotest.test_case "blit" `Quick test_blit;
           Alcotest.test_case "iter_set across words" `Quick test_iter_set;

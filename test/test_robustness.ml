@@ -184,6 +184,111 @@ let test_f2_validation () =
   Alcotest.check_raises "bad universe" (Invalid_argument "F2_moment: universe must be nonempty")
     (fun () -> ignore (F2_moment.protocol { F2_moment.d = 0; repetitions = 1; seed = 1 }))
 
+(* --- bcc_cli usage errors --- *)
+
+(* Every bad knob, unwritable output path and unknown id is a usage
+   error: exit 124 with one stderr line and nothing on stdout, never an
+   uncaught exception (125).  A missing output parent is created. *)
+type cli_case = {
+  env : string list;  (** Knobs set for this run only. *)
+  args : string list;  (** Relative paths live under a fresh directory. *)
+  code : int;
+  stderr_lines : int;
+  creates : string list;  (** Files the run must leave behind. *)
+}
+
+let usage_error ?(env = []) args =
+  { env; args; code = 124; stderr_lines = 1; creates = [] }
+
+let cli_cases =
+  List.concat_map
+    (fun knob -> List.map (fun id -> usage_error ~env:[ knob ] [ id ]) [ "e1"; "e5"; "e31" ])
+    [ "BCC_DOMAINS=abc"; "BCC_DOMAINS=0"; "BCC_DOMAINS=999"; "BCC_E31_N=100" ]
+  @ List.map
+      (fun args -> usage_error args)
+      [
+        [ "run"; "e1"; "--artifacts"; "not_a_dir/sub" ];
+        [ "run"; "e1"; "--artifacts"; "not_a_dir" ];
+        [ "prof"; "e1"; "--out"; "not_a_dir/sub" ];
+        [ "trace"; "equality-det"; "--seed"; "7"; "-o"; "not_a_dir/x.json" ];
+        [ "run"; "e99" ];
+        [ "metrics"; "e99" ];
+        [ "prof"; "e99" ];
+        [ "trace"; "e99" ];
+      ]
+  @ [
+      { env = []; args = [ "run"; "e1"; "--artifacts"; "new_dir/a" ]; code = 0;
+        stderr_lines = 1; creates = [ "new_dir/a/EXP_e1.json" ] };
+      { env = []; args = [ "prof"; "e1"; "--out"; "new_dir/b" ]; code = 0;
+        stderr_lines = 2;
+        creates = [ "new_dir/b/PROF_e1.json"; "new_dir/b/PROF_e1.trace.json" ] };
+      { env = []; args = [ "trace"; "equality-det"; "--seed"; "7"; "-o"; "new_dir/c/x.json" ];
+        code = 0; stderr_lines = 1; creates = [ "new_dir/c/x.json" ] };
+    ]
+
+let read_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (( <> ) "")
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+let test_cli_usage_errors () =
+  let cli =
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "bcc_cli.exe")
+  in
+  let dir = Filename.temp_dir "bcc_cli_test" "" in
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      remove_tree dir)
+    (fun () ->
+      Out_channel.with_open_text "not_a_dir" ignore;
+      let base =
+        Array.to_list (Unix.environment ())
+        |> List.filter (fun kv ->
+               not
+                 (List.exists
+                    (fun knob -> String.starts_with ~prefix:(knob ^ "=") kv)
+                    [ "BCC_DOMAINS"; "BCC_E31_N" ]))
+      in
+      List.iter
+        (fun c ->
+          let label = String.concat " " (c.env @ c.args) in
+          (* The case's knobs come first: the first binding wins. *)
+          let env = Array.of_list (c.env @ ("BCC_DOMAINS=1" :: base)) in
+          let out = Unix.openfile "out.txt" [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+          let err = Unix.openfile "err.txt" [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
+          let pid =
+            Unix.create_process_env cli
+              (Array.of_list (cli :: c.args))
+              env Unix.stdin out err
+          in
+          let _, status = Unix.waitpid [] pid in
+          Unix.close out;
+          Unix.close err;
+          let code = match status with Unix.WEXITED k -> k | _ -> -1 in
+          Alcotest.(check int) (label ^ ": exit code") c.code code;
+          Alcotest.(check int)
+            (label ^ ": stderr lines")
+            c.stderr_lines
+            (List.length (read_lines "err.txt"));
+          if c.code <> 0 then
+            Alcotest.(check (list string)) (label ^ ": no stdout") [] (read_lines "out.txt");
+          List.iter
+            (fun f -> check_bool (label ^ ": wrote " ^ f) true (Sys.file_exists f))
+            c.creates)
+        cli_cases)
+
 let () =
   Alcotest.run "robustness"
     [
@@ -196,6 +301,8 @@ let () =
           Alcotest.test_case "deterministic runner" `Quick test_deterministic_runner_rejects_randomized;
           Alcotest.test_case "input count mismatch" `Quick test_input_count_mismatch;
         ] );
+      ( "cli",
+          [ Alcotest.test_case "bcc_cli usage errors" `Quick test_cli_usage_errors ] );
       ( "gf2 inverse",
         [
           Alcotest.test_case "determinant" `Quick test_determinant;

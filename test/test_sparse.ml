@@ -454,8 +454,8 @@ let test_sample_planted_sharded () =
 (* The splice's oracle: the planted samplers' former second pass, which
    unioned the rows of a built CSR with the clique on [cs] (sorted,
    distinct) by sorted merge and rebuilt the whole CSR — existing edges
-   inside the clique dedupe against the merge, exactly like
-   [Planted.sample_planted_at]'s idempotent [add_edge] calls. *)
+   inside the clique dedupe against the merge, exactly like the clique
+   mask [Planted.sample_planted_at] ORs into each clique row. *)
 let overlay_clique (t : Bcc_kern.Spgraph.t) cs =
   let module B = Bcc_kern.Buf in
   let n = t.Bcc_kern.Spgraph.n in
