@@ -19,8 +19,8 @@ let writing f = try f () with Sys_error msg -> Error (`Msg msg)
 
 (* Every name a command is given is checked before it runs any, so an
    unknown one is a usage error with one stderr line and no output. *)
-let check_known ~what ~known names =
-  match List.filter (fun name -> not (List.mem name known)) names with
+let check_known ~what ~known ~is_known names =
+  match List.filter (fun name -> not (is_known name)) names with
   | [] -> Ok ()
   | unknown ->
       Error
@@ -28,6 +28,16 @@ let check_known ~what ~known names =
            (Printf.sprintf "unknown %s %s (known: %s)" what
               (String.concat ", " (List.map (Printf.sprintf "%S") unknown))
               (String.concat ", " known)))
+
+(* Experiment ids are matched as [Experiments.by_id] matches them, case
+   aside; protocol names exactly. *)
+let check_experiments =
+  check_known ~what:"experiment" ~known:Experiments.ids ~is_known:(fun id ->
+      Option.is_some (Experiments.by_id id))
+
+let check_protocols =
+  check_known ~what:"protocol" ~known:Runner.names ~is_known:(fun name ->
+      List.mem name Runner.names)
 
 (* ----------------------------------------------------------------- run *)
 
@@ -37,7 +47,7 @@ let run_experiments list_only csv artifacts_dir ids seed =
     Ok ()
   end
   else
-    Result.bind (check_known ~what:"experiment" ~known:Experiments.ids ids)
+    Result.bind (check_experiments ids)
     @@ fun () ->
     writing @@ fun () ->
     Option.iter Artifact.ensure_dir artifacts_dir;
@@ -107,7 +117,7 @@ let run_trace list_only jsonl out proto seed =
     match proto with
     | None -> Error (`Msg "missing PROTO argument (try --list)")
     | Some name ->
-        Result.bind (check_known ~what:"protocol" ~known:Runner.names [ name ])
+        Result.bind (check_protocols [ name ])
         @@ fun () ->
         writing @@ fun () ->
         Option.iter
@@ -162,9 +172,9 @@ let trace_cmd =
 let run_metrics json protos replicas ids seed =
   if replicas < 1 then Error (`Msg "--replicas must be >= 1")
   else
-    Result.bind (check_known ~what:"protocol" ~known:Runner.names protos)
+    Result.bind (check_protocols protos)
     @@ fun () ->
-    Result.bind (check_known ~what:"experiment" ~known:Experiments.ids ids)
+    Result.bind (check_experiments ids)
     @@ fun () ->
     Metrics.set_collecting true;
     List.iter

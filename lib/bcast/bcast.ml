@@ -60,14 +60,11 @@ module Rand_counter = struct
     check_domain r;
     r.used <- r.used + w;
     trace_draw r "bits" w;
-    match r.source with
-    | Stream g -> Prng.bool_bits g w
-    | Tape _ | Deterministic ->
-        let v = ref 0 in
-        for i = 0 to w - 1 do
-          if bool_uncounted r then v := !v lor (1 lsl i)
-        done;
-        !v
+    let v = ref 0 in
+    for i = 0 to w - 1 do
+      if bool_uncounted r then v := !v lor (1 lsl i)
+    done;
+    !v
 
   let bitvec r len =
     check_domain r;

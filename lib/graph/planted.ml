@@ -1,18 +1,13 @@
-(* Row [i] is one [Prng.bitvec] draw, ORed with [mask] when [i] is in
-   [mask].  [Prng.bitvec] writes whole 64-bit draws into the packed
-   words, and installing (not copying) the row keeps the per-row cost at
-   one allocation; [install_out_row] clears the diagonal, so a clique
-   row gains exactly the edges to the other members. *)
-let sample_masked g n mask =
+let sample_rand g n =
   let graph = Digraph.create n in
   for i = 0 to n - 1 do
-    let row = Prng.bitvec g n in
-    Digraph.install_out_row graph i
-      (if Bitvec.get mask i then Bitvec.logor row mask else row)
+    (* [Prng.bitvec] writes whole 64-bit draws into the packed words;
+       installing (not copying) the fresh row keeps the per-row cost at
+       one allocation.  Stream order and the sampled graph are exactly
+       the set_out_row path's. *)
+    Digraph.install_out_row graph i (Prng.bitvec g n)
   done;
   graph
-
-let sample_rand g n = sample_masked g n (Bitvec.create n)
 
 let sample_planted_at g n c =
   let mask = Bitvec.create n in
@@ -21,7 +16,13 @@ let sample_planted_at g n c =
       if v < 0 || v >= n then invalid_arg "Planted.sample_planted_at: vertex out of range";
       Bitvec.set mask v true)
     c;
-  sample_masked g n mask
+  let graph = sample_rand g n in
+  (* Each clique row gains the whole mask; [install_out_row] clears the
+     diagonal, so it gains exactly the edges to the other members. *)
+  List.iter
+    (fun v -> Digraph.install_out_row graph v (Bitvec.logor (Digraph.out_row graph v) mask))
+    c;
+  graph
 
 let sample_planted g ~n ~k =
   let c = Prng.subset g ~n ~k in

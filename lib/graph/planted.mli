@@ -12,7 +12,9 @@ val sample_rand : Prng.t -> int -> Digraph.t
 (** A sample of [A_rand^n]. *)
 
 val sample_planted_at : Prng.t -> int -> int list -> Digraph.t
-(** [sample_planted_at g n c]: a sample of [A_C^n]. *)
+(** [sample_planted_at g n c]: a sample of [A_C^n].  Raises
+    [Invalid_argument] if a vertex of [c] is outside [0, n), before
+    drawing. *)
 
 val sample_planted : Prng.t -> n:int -> k:int -> Digraph.t * int list
 (** A sample of [A_k^n] together with the planted set. *)

@@ -116,17 +116,6 @@ let bool g =
   check_st g.st;
   Int64.logand (step g.st) 1L = 1L
 
-(* bcc-lint: noalloc *)
-let bool_bits g w =
-  if w < 0 || w > 62 then invalid_arg "Prng.bool_bits: width in [0,62]";
-  let st = g.st in
-  check_st st;
-  let v = ref 0 in
-  for i = 0 to w - 1 do
-    v := !v lor ((Int64.to_int (step st) land 1) lsl i)
-  done;
-  !v
-
 let int g n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Rejection sampling on the top 62 bits to avoid modulo bias. *)

@@ -37,12 +37,7 @@ val bits64 : t -> int64
 (** 64 uniform bits. *)
 
 val bool : t -> bool
-(** The low bit of one {!bits64} draw. *)
-
-val bool_bits : t -> int -> int
-(** [bool_bits g w] packs [w] {!bool} draws LSB-first: bit [i] is the
-    low bit of the [i]-th {!bits64} draw, and [g] ends where [w] calls of
-    {!bool} leave it.  Allocates nothing.  Requires [0 <= w <= 62]. *)
+(** The low bit of one {!bits64} draw.  Allocates nothing. *)
 
 val int : t -> int -> int
 (** [int g n] is uniform on [0, n); requires [n > 0]. *)

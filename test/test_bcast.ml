@@ -183,18 +183,25 @@ let test_bernoulli_charge () =
   check_int "tape charged" 30 (Bcast.Rand_counter.bits_used r)
 
 (* [bits r w] charges [w] bits whatever the source, and a stream source
-   serves the same value as [w] [Prng.bool] draws packed LSB-first. *)
+   serves the same value as [w] [Prng.bool] draws packed LSB-first and
+   leaves the generator where they leave it. *)
 let test_bits_charge_every_source () =
   for w = 0 to 30 do
     let label what = Printf.sprintf "w = %d: %s" w what in
-    let r = Bcast.Rand_counter.make (Prng.create 21) in
-    let g = Prng.create 21 in
-    let want = ref 0 in
-    for i = 0 to w - 1 do
-      if Prng.bool g then want := !want lor (1 lsl i)
-    done;
-    check_int (label "stream value") !want (Bcast.Rand_counter.bits r w);
-    check_int (label "stream charge") w (Bcast.Rand_counter.bits_used r);
+    List.iter
+      (fun seed ->
+        let label what = label (Printf.sprintf "seed %d, %s" seed what) in
+        let a = Prng.create seed and b = Prng.create seed in
+        let r = Bcast.Rand_counter.make a in
+        let want = ref 0 in
+        for i = 0 to w - 1 do
+          if Prng.bool b then want := !want lor (1 lsl i)
+        done;
+        check_int (label "stream value") !want (Bcast.Rand_counter.bits r w);
+        check_int (label "stream charge") w (Bcast.Rand_counter.bits_used r);
+        check_bool (label "same end state") true
+          (Int64.equal (Prng.bits64 a) (Prng.bits64 b)))
+      [ 1; 21; 2019 ];
     let tape = Bitvec.init 30 (fun i -> i mod 3 = 0) in
     let r = Bcast.Rand_counter.of_tape tape in
     check_int (label "tape value")
@@ -208,6 +215,21 @@ let test_bits_charge_every_source () =
   Alcotest.check_raises "deterministic, w = 1"
     (Failure "Rand_counter: deterministic processor drew randomness") (fun () ->
       ignore (Bcast.Rand_counter.bits r 1))
+
+let test_bits_no_alloc () =
+  (* Untraced, a stream draw boxes nothing: [Prng.bool] tests the low
+     bit of an inlined step, where one boxed [Int64] per bit would be
+     90,000 words here. *)
+  let r = Bcast.Rand_counter.make (Prng.create 98) in
+  ignore (Bcast.Rand_counter.bits r 30);
+  let before = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Bcast.Rand_counter.bits r 30))
+  done;
+  let delta = Gc.minor_words () -. before in
+  check_bool
+    (Printf.sprintf "bits allocates nothing (delta %.0f words)" delta)
+    true (delta < 256.0)
 
 (* --- Bcast runner --- *)
 
@@ -553,6 +575,7 @@ let () =
           Alcotest.test_case "bernoulli exact charge" `Quick test_bernoulli_charge;
           Alcotest.test_case "bits charge every source" `Quick
             test_bits_charge_every_source;
+          Alcotest.test_case "bits allocate nothing" `Quick test_bits_no_alloc;
         ] );
       ( "runner",
         [

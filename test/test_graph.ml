@@ -149,6 +149,17 @@ let test_planted_at_fixed () =
   let graph = Planted.sample_planted_at g 10 c in
   check_bool "clique at C" true (Digraph.is_bidirectional_clique graph c)
 
+(* A vertex outside [0, n) raises, alone or among others. *)
+let test_planted_at_out_of_range () =
+  let g = Prng.create 5 in
+  List.iter
+    (fun c ->
+      Alcotest.check_raises
+        (String.concat "," (List.map string_of_int c))
+        (Invalid_argument "Planted.sample_planted_at: vertex out of range")
+        (fun () -> ignore (Planted.sample_planted_at g 10 c)))
+    [ [ 10 ]; [ -1 ]; [ 1; 10 ] ]
+
 let test_instance_balance () =
   let g = Prng.create 6 in
   let planted = ref 0 in
@@ -310,6 +321,7 @@ let () =
           Alcotest.test_case "density" `Quick test_sample_rand_density;
           Alcotest.test_case "planted clique present" `Quick test_planted_clique_present;
           Alcotest.test_case "planted at fixed set" `Quick test_planted_at_fixed;
+          Alcotest.test_case "planted at out of range" `Quick test_planted_at_out_of_range;
           Alcotest.test_case "instance balance" `Quick test_instance_balance;
           Alcotest.test_case "interesting k range" `Quick test_interesting_k_range;
         ] );

@@ -260,41 +260,6 @@ let test_fill_no_alloc () =
     (Printf.sprintf "fills allocate nothing (delta %.0f words)" delta)
     true (delta < 256.0)
 
-(* [bool_bits g w] is [w] [bool] draws packed LSB-first, and leaves the
-   generator where they leave it. *)
-let test_bool_bits_matches_bools () =
-  List.iter
-    (fun seed ->
-      for w = 0 to 30 do
-        let a = Prng.create seed and b = Prng.create seed in
-        let want = ref 0 in
-        for i = 0 to w - 1 do
-          if Prng.bool b then want := !want lor (1 lsl i)
-        done;
-        check_int (Printf.sprintf "seed %d, w = %d" seed w) !want (Prng.bool_bits a w);
-        check_bool "same end state" true (Int64.equal (Prng.bits64 a) (Prng.bits64 b))
-      done)
-    [ 1; 42; 2019 ];
-  List.iter
-    (fun w ->
-      Alcotest.check_raises (Printf.sprintf "w = %d" w)
-        (Invalid_argument "Prng.bool_bits: width in [0,62]") (fun () ->
-          ignore (Prng.bool_bits (Prng.create 1) w)))
-    [ -1; 63 ]
-
-let test_bool_bits_no_alloc () =
-  (* One boxed int64 per bit would be 90,000 words over these calls. *)
-  let g = Prng.create 98 in
-  ignore (Prng.bool_bits g 30);
-  let before = Gc.minor_words () in
-  for _ = 1 to 1000 do
-    ignore (Sys.opaque_identity (Prng.bool_bits g 30))
-  done;
-  let delta = Gc.minor_words () -. before in
-  check_bool
-    (Printf.sprintf "bool_bits allocates nothing (delta %.0f words)" delta)
-    true (delta < 256.0)
-
 let test_subset_uses_scalar_stream () =
   (* subset's batched candidate prefetch must consume the stream exactly
      as the rejection loop's scalar draws would: same subsets from equal
@@ -397,9 +362,6 @@ let () =
           Alcotest.test_case "save/restore rewinds" `Quick
             test_save_restore_rewinds;
           Alcotest.test_case "fills allocate nothing" `Quick test_fill_no_alloc;
-          Alcotest.test_case "bool_bits = bools" `Quick test_bool_bits_matches_bools;
-          Alcotest.test_case "bool_bits allocates nothing" `Quick
-            test_bool_bits_no_alloc;
           Alcotest.test_case "subset stream identity" `Quick
             test_subset_uses_scalar_stream;
         ] );

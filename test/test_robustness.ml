@@ -216,6 +216,10 @@ let cli_cases =
         [ "prof"; "e99" ];
         [ "trace"; "e99" ];
       ]
+  @ List.map
+      (* Ids match case-insensitively, as [Experiments.by_id] does. *)
+      (fun args -> { env = []; args; code = 0; stderr_lines = 0; creates = [] })
+      [ [ "run"; "E1" ]; [ "metrics"; "E1" ]; [ "E1" ] ]
   @ [
       { env = []; args = [ "run"; "e1"; "--artifacts"; "new_dir/a" ]; code = 0;
         stderr_lines = 1; creates = [ "new_dir/a/EXP_e1.json" ] };
