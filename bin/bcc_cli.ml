@@ -368,7 +368,7 @@ let cmd =
       Cmd.Env.info "BCC_E31_N"
         ~doc:
           "Vertex count for e31, at least 4096 (defaults to 10^6, which needs \
-           ~16 GB).";
+           ~10 GB).";
     ]
   in
   let info = Cmd.info "bcc_cli" ~doc ~envs in

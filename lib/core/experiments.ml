@@ -1446,12 +1446,14 @@ let e31_million_vertex ?(seed = 42) () =
   let module R = Clique.Recover (Graph_backend.Sparse_backend) in
   let g = Prng.create seed in
   let rows = ref [] in
-  (* The million-vertex rung.  Scale knob: the full size needs ~16 GB of
-     working set (the CSR alone is 8 GB), so constrained hosts — the CI
-     cross-domain byte-diff runners in particular — set BCC_E31_N to a
-     smaller n.  The sharded sampler and the recovery pipeline are the
-     same code at every n, so the byte-identity check binds just as hard
-     at the reduced size; the artifact records which n it measured. *)
+  (* The million-vertex rung.  Scale knob: the full size needs ~10 GB of
+     working set (the CSR alone is 8 GB, the 4-byte pair stream 2 GB),
+     so constrained hosts — the CI cross-domain byte-diff runners in
+     particular — set BCC_E31_N to a smaller n.  The sharded sampler and
+     the recovery pipeline are the same code at every n, so the
+     byte-identity check binds just as hard at the reduced size; the
+     artifact records which n it measured.  The payload note below still
+     says ~16 GB: it sits inside the pinned EXP digest (ROADMAP item 1). *)
   let n =
     match Sys.getenv_opt "BCC_E31_N" with
     | None | Some "" -> 1_000_000

@@ -107,18 +107,34 @@ let degree_sums t =
      pair, cheap while [cols] and the cursors fit in cache; sequential;
    - above, a cache-aware two-phase sort first partitions the backward
      entries into row-range buckets, each packed into one native int
-     [j lsl 31 lor i] (sequential writes; the packing is why n >= 2^31
-     stays on the direct scatter), then scatters each bucket while its
-     target rows and cursors are cache-resident.  At n = 10^6 /
+     [j lsl 31 lor i] (sequential writes), then scatters each bucket
+     while its target rows and cursors are cache-resident.  At n = 10^6 /
      m = 5 x 10^8 this takes the build from DRAM-latency bound
      (~43 ns/pair) to memory-bandwidth bound.  Bucketing by row range
      preserves stream order inside each bucket, so rows still receive
-     their entries in ascending order.  Its five passes run on the
-     [Par] pool: bucket count, partition and forward fill per work unit
-     (a run of consecutive segments), backward degrees and backward fill
-     per bucket.  Each unit's slice of each bucket comes from a
-     unit x bucket prefix sum, so every write lands where the sequential
-     build would put it, whatever the pool size. *)
+     their entries in ascending order.  The buckets need no buffer of
+     their own: a bucket's rows own one contiguous region of [cols]
+     (their backward entries, then their forward ones), and the
+     partition parks the bucket's packed entries at the front of it.
+     Three passes run on the [Par] pool: bucket count and partition per
+     work unit (a run of consecutive segments); then per bucket, copy
+     its entries to lane scratch, count its rows' backward degrees,
+     write its rows' offsets and scatter their heads over the region;
+     then the forward fill per work unit writes the row tails into
+     pages the bucket pass has already faulted in.  Each unit's slice
+     of each bucket comes from a unit x bucket prefix sum, so every
+     write lands where the sequential build would put it, whatever the
+     pool size.  Peak memory is the 4-byte stream plus [cols], 20 bytes
+     per pair, and one largest bucket of scratch per lane. *)
+
+(* Per-domain copy of one bucket's packed entries, grown on demand and
+   reused across builds.  It needs no re-zeroing: the bucket pass copies
+   the bucket's entries into slots [0, cnt) before it reads any slot and
+   reads none past [cnt], so entries left by an earlier bucket or build
+   are never read, and the per-domain keying means no two lanes ever
+   share the buffer. *)
+let bucket_scratch = Par.lane_scratch (fun () -> ref (Buf.int_create 0))
+
 let csr_of_segments ~n segs =
   let nseg = Array.length segs in
   let fwd_count = Array.make n 0 in
@@ -127,7 +143,7 @@ let csr_of_segments ~n segs =
   for s = 0 to nseg - 1 do
     let row0, counts, js, ms = segs.(s) in
     let len = Array.length counts in
-    if ms < 0 || ms > Buf.int_length js then
+    if ms < 0 || ms > Buf.i32_length js then
       invalid_arg "Sparse: pair stream shorter than m";
     if row0 < 0 || row0 + len > n then
       invalid_arg "Sparse: segment rows out of range";
@@ -145,27 +161,23 @@ let csr_of_segments ~n segs =
     m := !m + ms
   done;
   let m = !m in
-  let offsets deg =
-    let row_ptr = Array.make (n + 1) 0 in
-    for i = 0 to n - 1 do
-      row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
-    done;
-    row_ptr
-  in
-  (* Per-row degrees: the forward counts plus one per backward entry. *)
-  let deg = Array.copy fwd_count in
-  if m < 1 lsl 20 || n >= 1 lsl 31 then begin
+  (* Uninitialized is safe on both paths: every row receives exactly its
+     degree in entries, at slots the offsets partition. *)
+  let cols = Buf.int_create_uninit (2 * m) in
+  let row_ptr = Array.make (n + 1) 0 in
+  if m < 1 lsl 20 then begin
+    (* Per-row degrees: the forward counts plus one per backward entry. *)
+    let deg = Array.copy fwd_count in
     for s = 0 to nseg - 1 do
       let _, _, js, ms = segs.(s) in
       for e = 0 to ms - 1 do
-        let j = Buf.int_get js e in
+        let j = Int32.to_int (Buf.i32_get js e) in
         deg.(j) <- deg.(j) + 1
       done
     done;
-    let row_ptr = offsets deg in
-    (* Uninitialized is safe: the cursor prefix sums partition the buffer
-       and the scatter writes exactly [deg.(i)] entries into row i. *)
-    let cols = Buf.int_create_uninit (2 * m) in
+    for i = 0 to n - 1 do
+      row_ptr.(i + 1) <- row_ptr.(i) + deg.(i)
+    done;
     let cursor = Array.sub row_ptr 0 n in
     for s = 0 to nseg - 1 do
       let row0, counts, js, _ = segs.(s) in
@@ -173,7 +185,7 @@ let csr_of_segments ~n segs =
       for r = 0 to Array.length counts - 1 do
         let i = row0 + r in
         for d = !e to !e + counts.(r) - 1 do
-          let j = Buf.int_get js d in
+          let j = Int32.to_int (Buf.i32_get js d) in
           Buf.int_set cols cursor.(i) j;
           cursor.(i) <- cursor.(i) + 1;
           Buf.int_set cols cursor.(j) i;
@@ -181,8 +193,7 @@ let csr_of_segments ~n segs =
         done;
         e := !e + counts.(r)
       done
-    done;
-    Spgraph.make_symmetric ~n ~row_ptr ~cols
+    done
   end
   else begin
     (* Bucket width: the smallest power-of-two row range that keeps the
@@ -219,28 +230,38 @@ let csr_of_segments ~n segs =
           for s = s0 to s1 - 1 do
             let _, _, js, ms = segs.(s) in
             for e = 0 to ms - 1 do
-              let b = Buf.int_get js e lsr shift in
+              let b = Int32.to_int (Buf.i32_get js e) lsr shift in
               c.(b) <- c.(b) + 1
             done
           done;
           c)
         units
     in
-    (* Unit u's slice of bucket b starts at [uoff.(u * nb + b)], after
-       every earlier unit's: bucket-major, unit-minor, i.e. stream
-       order. *)
-    let uoff = Array.make (nu * nb) 0 in
-    let bptr = Array.make (nb + 1) 0 in
-    for b = 0 to nb - 1 do
-      bptr.(b + 1) <- bptr.(b);
-      for u = 0 to nu - 1 do
-        uoff.((u * nb) + b) <- bptr.(b + 1);
-        bptr.(b + 1) <- bptr.(b + 1) + ucount.(u).(b)
-      done
+    (* Bucket b's rows own the region [region.(b), region.(b + 1)) of
+       [cols]: its backward entries, then its rows' forward entries.
+       Unit u's slice of the bucket's packed entries starts at
+       [uoff.(u * nb + b)], after every earlier unit's: bucket-major,
+       unit-minor, i.e. stream order. *)
+    let fwd_total = Array.make nb 0 in
+    for i = 0 to n - 1 do
+      let b = i lsr shift in
+      fwd_total.(b) <- fwd_total.(b) + fwd_count.(i)
     done;
-    (* Partition pass: pack (j, i) and append to j's bucket at the
-       unit's own cursors. *)
-    let packed = Buf.int_create_uninit m in
+    let uoff = Array.make (nu * nb) 0 in
+    let region = Array.make (nb + 1) 0 in
+    let bcount = Array.make nb 0 in
+    for b = 0 to nb - 1 do
+      let c = ref region.(b) in
+      for u = 0 to nu - 1 do
+        uoff.((u * nb) + b) <- !c;
+        c := !c + ucount.(u).(b)
+      done;
+      bcount.(b) <- !c - region.(b);
+      region.(b + 1) <- !c + fwd_total.(b)
+    done;
+    let bmax = Array.fold_left max 0 bcount in
+    (* Partition pass: pack (j, i) and park it at the front of j's
+       bucket region, at the unit's own cursors. *)
     par_for nu (fun u ->
         let s0, s1 = units.(u) in
         let bcur = Array.sub uoff (u * nb) nb in
@@ -250,27 +271,50 @@ let csr_of_segments ~n segs =
           for r = 0 to Array.length counts - 1 do
             let i = row0 + r in
             for d = !e to !e + counts.(r) - 1 do
-              let j = Buf.int_get js d in
+              let j = Int32.to_int (Buf.i32_get js d) in
               let b = j lsr shift in
-              Buf.int_set packed bcur.(b) ((j lsl 31) lor i);
+              Buf.int_set cols bcur.(b) ((j lsl 31) lor i);
               bcur.(b) <- bcur.(b) + 1
             done;
             e := !e + counts.(r)
           done
         done);
-    (* Backward degrees, bucket by bucket: each row belongs to one
-       bucket, so the lanes touch disjoint slots of [deg]. *)
+    (* Bucket pass.  Each row belongs to one bucket, so the lanes write
+       disjoint slots of [cursor], [row_ptr] and [cols].  The bucket's
+       entries are copied out first because the head scatter overwrites
+       the region they were parked in; the scatter's target rows and
+       cursors stay cache-resident for the whole bucket.  [cursor.(j)]
+       counts row j's backward entries, then walks its head slots. *)
+    let cursor = Array.make n 0 in
+    let mask31 = (1 lsl 31) - 1 in
     par_for nb (fun b ->
-        for e = bptr.(b) to bptr.(b + 1) - 1 do
-          let j = Buf.int_get packed e lsr 31 in
-          deg.(j) <- deg.(j) + 1
+        let lo = b lsl shift and hi = min n ((b + 1) lsl shift) in
+        let base = region.(b) and cnt = bcount.(b) in
+        let cell = bucket_scratch () in
+        if Buf.int_length !cell < bmax then cell := Buf.int_create_uninit bmax;
+        let scratch = !cell in
+        Bigarray.Array1.blit
+          (Bigarray.Array1.sub cols base cnt)
+          (Bigarray.Array1.sub scratch 0 cnt);
+        (* bcc-lint: allow par/dls-zero — write before read: the blit just wrote slots [0, cnt) and neither loop reads past cnt, so no earlier bucket's entries can leak (see bucket_scratch) *)
+        for e = 0 to cnt - 1 do
+          let j = Buf.int_get scratch e lsr 31 in
+          cursor.(j) <- cursor.(j) + 1
+        done;
+        let start = ref base in
+        for i = lo to hi - 1 do
+          let d = cursor.(i) + fwd_count.(i) in
+          row_ptr.(i) <- !start;
+          cursor.(i) <- !start;
+          start := !start + d
+        done;
+        for e = 0 to cnt - 1 do
+          let w = Buf.int_get scratch e in
+          let j = w lsr 31 in
+          Buf.int_set cols cursor.(j) (w land mask31);
+          cursor.(j) <- cursor.(j) + 1
         done);
-    let row_ptr = offsets deg in
-    (* Uninitialized is safe: forward entries fill the tail
-       [fwd_count.(i)] slots of each row, backward entries fill the head
-       [deg.(i) - fwd_count.(i)] slots, and the two fills write exactly
-       [deg.(i)] entries per row. *)
-    let cols = Buf.int_create_uninit (2 * m) in
+    row_ptr.(n) <- 2 * m;
     (* Forward fill, unit by unit, straight from the stream.  A row's
        forward entries fill the tail of its slot range in stream order,
        so a segment's first row starts after the entries earlier
@@ -300,25 +344,13 @@ let csr_of_segments ~n segs =
               if r = 0 then fstart.(s) else row_ptr.(i + 1) - fwd_count.(i)
             in
             for d = !e to !e + counts.(r) - 1 do
-              Buf.int_set cols (c + d - !e) (Buf.int_get js d)
+              Buf.int_set cols (c + d - !e) (Int32.to_int (Buf.i32_get js d))
             done;
             e := !e + counts.(r)
           done
-        done);
-    (* Backward fill, bucket by bucket: target rows and cursors stay
-       cache-resident for the whole bucket, and each lane owns its
-       buckets' rows. *)
-    let cursor = Array.sub row_ptr 0 n in
-    let mask31 = (1 lsl 31) - 1 in
-    par_for nb (fun b ->
-        for e = bptr.(b) to bptr.(b + 1) - 1 do
-          let w = Buf.int_get packed e in
-          let j = w lsr 31 in
-          Buf.int_set cols cursor.(j) (w land mask31);
-          cursor.(j) <- cursor.(j) + 1
-        done);
-    Spgraph.make_symmetric ~n ~row_ptr ~cols
-  end
+        done)
+  end;
+  Spgraph.make_symmetric ~n ~row_ptr ~cols
 
 (* CSR twin of [Gnp.sample_fast]: the identical geometric-skip decode —
    same [Prng.float] draws in the same order, same cap, same row-major
@@ -332,7 +364,8 @@ let csr_of_segments ~n segs =
    decode would have consumed, so the generator's end state matches the
    scalar path draw for draw.  test/test_sparse.ml pins
    [sample_gnp] == [of_digraph (Gnp.sample_fast ...)], graph and end
-   state, on shared seeds.
+   state, on shared seeds.  The stream holds 4-byte columns, so n must
+   be below 2^31 (checked before anything is allocated).
 
    [?stream_cap] overrides the initial pair-stream capacity (normally
    the binomial mean + 6 sigma) so tests can force the geometric-growth
@@ -340,6 +373,7 @@ let csr_of_segments ~n segs =
    stream as one [csr_of_segments] segment. *)
 let gnp_segments ?stream_cap g ~n ~p =
   if n < 0 then invalid_arg "Sparse.sample_gnp: n >= 0";
+  if n >= 1 lsl 31 then invalid_arg "Sparse.sample_gnp: n < 2^31";
   if p < 0.0 || p > 1.0 then invalid_arg "Sparse.sample_gnp: p in [0,1]";
   let total = n * (n - 1) / 2 in
   let mean = p *. float_of_int total in
@@ -350,7 +384,7 @@ let gnp_segments ?stream_cap g ~n ~p =
         min (max 1 total)
           (64 + int_of_float (mean +. (6.0 *. Float.sqrt (mean +. 1.0))))
   in
-  let js = ref (Buf.int_create_uninit cap0) in
+  let js = ref (Buf.i32_create_uninit cap0) in
   let cap = ref cap0 in
   let fwd_count = Array.make n 0 in
   let m = ref 0 in
@@ -359,7 +393,7 @@ let gnp_segments ?stream_cap g ~n ~p =
        [total] at a push (there are at most [total] pushes), so the
        clamped doubling always yields cap' > m. *)
     let cap' = min (max 1 total) (max (2 * !cap) (!m + 1)) in
-    let js' = Buf.int_create_uninit cap' in
+    let js' = Buf.i32_create_uninit cap' in
     if !m > 0 then
       Bigarray.Array1.blit
         (Bigarray.Array1.sub !js 0 !m)
@@ -371,7 +405,7 @@ let gnp_segments ?stream_cap g ~n ~p =
     for i = 0 to n - 1 do
       for j = i + 1 to n - 1 do
         if !m = !cap then grow ();
-        Buf.int_set !js !m j;
+        Buf.i32_set !js !m (Int32.of_int j);
         fwd_count.(i) <- fwd_count.(i) + 1;
         incr m
       done
@@ -407,7 +441,7 @@ let gnp_segments ?stream_cap g ~n ~p =
             incr row
           done;
           if !m = !cap then grow ();
-          Buf.int_set !js !m (!row + 1 + (!idx - !row_start));
+          Buf.i32_set !js !m (Int32.of_int (!row + 1 + (!idx - !row_start)));
           fwd_count.(!row) <- fwd_count.(!row) + 1;
           incr m
         end
@@ -529,7 +563,7 @@ let row_of_pair_index n idx =
    child stream: returns the shard's [csr_of_segments] segment (first
    row, per-row counts over the shard's row span, pair stream, pair
    count). *)
-(* bcc-lint: allow kern/unsafe-index — every words read follows the refill check that keeps wcur < avail <= words_cap = Buf.i64_length words, and the js write follows grow (), which keeps m < cap = Buf.int_length !js *)
+(* bcc-lint: allow kern/unsafe-index — every words read follows the refill check that keeps wcur < avail <= words_cap = Buf.i64_length words, and the js write follows grow (), which keeps m < cap = Buf.i32_length !js *)
 let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
   let row0 = row_of_pair_index n lo in
   let s_of r = (r * (n - 1)) - (r * (r - 1) / 2) in
@@ -541,12 +575,12 @@ let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
     min (max 1 (hi - lo))
       (64 + int_of_float (mean +. (6.0 *. Float.sqrt (mean +. 1.0))))
   in
-  let js = ref (Buf.int_create_uninit cap0) in
+  let js = ref (Buf.i32_create_uninit cap0) in
   let cap = ref cap0 in
   let m = ref 0 in
   let grow () =
     let cap' = min (max 1 (hi - lo)) (max (2 * !cap) (!m + 1)) in
-    let js' = Buf.int_create_uninit cap' in
+    let js' = Buf.i32_create_uninit cap' in
     if !m > 0 then
       Bigarray.Array1.blit
         (Bigarray.Array1.sub !js 0 !m)
@@ -601,7 +635,7 @@ let decode_shard ~n ~mean_per_pair tbl child ~lo ~hi =
         incr row
       done;
       if !m = !cap then grow ();
-      Buf.int_set !js !m (!row + 1 + (!idx - !row_start));
+      Buf.i32_set !js !m (Int32.of_int (!row + 1 + (!idx - !row_start)));
       counts.(!row - row0) <- counts.(!row - row0) + 1;
       incr m
     end
@@ -646,7 +680,7 @@ let sharded_segments g ~n ~p =
       (fun s ->
         let child = Prng.split root s in
         let lo = lo_of s and hi = lo_of (s + 1) in
-        if lo >= hi then (0, [||], Buf.int_create_uninit 1, 0)
+        if lo >= hi then (0, [||], Buf.i32_create_uninit 1, 0)
         else decode_shard ~n ~mean_per_pair:p tbl child ~lo ~hi)
       (Array.init shards Fun.id)
   end
@@ -667,7 +701,7 @@ let sample_gnp_sharded g ~n ~p =
    k clique rows is copied.  Clique rows no segment covers (a row with
    no pair slot, such as n - 1) get their segment at their place in row
    order. *)
-(* bcc-lint: allow kern/unsafe-index — a clique row's buffer holds its sampled pairs plus the kc - ci - 1 members above it, the most the merge can emit; every piece (js, off, len) is a row's slice of a segment whose per-row counts sum to m <= Buf.int_length js (csr_of_segments checks the same) *)
+(* bcc-lint: allow kern/unsafe-index — a clique row's buffer holds its sampled pairs plus the kc - ci - 1 members above it, the most the merge can emit; every piece (js, off, len) is a row's slice of a segment whose per-row counts sum to m <= Buf.i32_length js (csr_of_segments checks the same) *)
 let splice_clique segs cs =
   let kc = Array.length cs in
   let out = ref [] in
@@ -679,17 +713,17 @@ let splice_clique segs cs =
     let c = cs.(!ci) in
     let parts = List.rev !pieces in
     let sampled = List.fold_left (fun a (_, _, len) -> a + len) 0 parts in
-    let row = Buf.int_create_uninit (sampled + kc - !ci - 1) in
+    let row = Buf.i32_create_uninit (sampled + kc - !ci - 1) in
     let u = ref 0 in
     let emit j =
-      Buf.int_set row !u j;
+      Buf.i32_set row !u (Int32.of_int j);
       incr u
     in
     let b = ref (!ci + 1) in
     List.iter
       (fun (js, off, len) ->
         for e = off to off + len - 1 do
-          let x = Buf.int_get js e in
+          let x = Int32.to_int (Buf.i32_get js e) in
           while !b < kc && cs.(!b) < x do
             emit cs.(!b);
             incr b
@@ -753,11 +787,16 @@ let planted decode g ~n ~p ~k =
   let cs = Array.of_list (List.sort_uniq Int.compare c) in
   (build ~n (Prof.span "sparse:splice" (fun () -> splice_clique segs cs)), c)
 
+(* Both planted samplers check their decode's bound on n before
+   [Prng.subset], which draws and allocates an n-entry index array. *)
 let sample_planted g ~n ~p ~k =
+  if n >= 1 lsl 31 then invalid_arg "Sparse.sample_planted: n < 2^31";
   planted (fun g ~n ~p -> gnp_segments g ~n ~p) g ~n ~p ~k
 
 (* Sharded twin: subset from the parent stream first (same position as
    [sample_planted]), then the sharded G(n, p) — whose shard children
    never touch the parent stream, so after this call the parent sits
    exactly one [subset] past where it started. *)
-let sample_planted_sharded g ~n ~p ~k = planted sharded_segments g ~n ~p ~k
+let sample_planted_sharded g ~n ~p ~k =
+  if n >= 1 lsl 30 then invalid_arg "Sparse.sample_planted_sharded: n < 2^30";
+  planted sharded_segments g ~n ~p ~k

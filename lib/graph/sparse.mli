@@ -74,6 +74,10 @@ val sample_gnp : ?stream_cap:int -> Prng.t -> n:int -> p:float -> t
     sort above, whose passes run on the [Par] pool (docs/PERFORMANCE.md
     "Batched draws"); both emit the same bytes at any [BCC_DOMAINS].
 
+    The pair stream stores each column in 4 bytes, so [n] must be below
+    2^31: a larger [n] raises [Invalid_argument] before anything is drawn
+    or allocated.
+
     [?stream_cap] overrides the initial pair-stream capacity (default:
     binomial mean + 6 sigma) to force the geometric-growth path in
     tests; the sampled graph is identical for any value. *)
@@ -101,7 +105,8 @@ val sample_planted_sharded :
     (parent untouched), then the same clique splice and one CSR build.
     A clique row whose pairs straddle two shards is gathered from both.
     After the call the parent stream sits exactly one [subset] past
-    where it started.  Byte-identical at any [BCC_DOMAINS]. *)
+    where it started.  Byte-identical at any [BCC_DOMAINS].  Requires
+    [n < 2^30], checked before the subset is drawn. *)
 
 val sample_planted : Prng.t -> n:int -> p:float -> k:int -> (t * int list)
 (** Planted clique over the G(n, p) base: clique subset first
@@ -113,4 +118,6 @@ val sample_planted : Prng.t -> n:int -> p:float -> k:int -> (t * int list)
     decode buffer.  No base CSR is built and no column buffer is copied;
     the result is byte-identical to overlaying the clique on
     {!sample_gnp}'s graph (test/test_sparse.ml keeps that overlay as the
-    oracle).  Returns the instance and the planted set. *)
+    oracle).  Returns the instance and the planted set.  Requires
+    [n < 2^31], as {!sample_gnp} does, checked before the subset is
+    drawn. *)

@@ -26,12 +26,13 @@ val ctz : int -> int
 
 (** GC-invisible flat buffers for the kernel inner loops.
 
-    [i64]/[ints] are C-layout [Bigarray.Array1] values: element access
+    [i64]/[ints]/[i32] are C-layout [Bigarray.Array1] values: element access
     compiles to one unboxed load or store — no boxed [Int64] cells, no
     write barrier, nothing for the minor GC to scan.  Accessors are
     {b unchecked}; callers own their indices (the word-boundary property
     tests in test/test_kern.ml pin the semantics against the [Bitvec]
-    oracles).  Creation zero-fills, except {!int_create_uninit}. *)
+    oracles).  Creation zero-fills, except {!int_create_uninit} and
+    {!i32_create_uninit}. *)
 module Buf : sig
   type i64 = (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -50,17 +51,30 @@ module Buf : sig
       prefix sums partition the buffer exactly); reading an unwritten
       slot is unspecified garbage. *)
 
+  type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+  (** 4-byte buffer for values below 2^31 (the samplers' pair streams):
+      half the memory of {!ints}.  Read it as
+      [Int32.to_int (i32_get b i)] and write it as
+      [i32_set b i (Int32.of_int x)]: consumed at once like this, the
+      [int32] is never boxed, even without flambda. *)
+
+  val i32_create_uninit : int -> i32
+  (** Like {!int_create_uninit}: no zero-fill. *)
+
   (** Accessors are monomorphic [external] re-declarations of the
       Bigarray primitives, so call sites compile to direct unboxed
       loads/stores without flambda. *)
 
   external i64_length : i64 -> int = "%caml_ba_dim_1"
   external int_length : ints -> int = "%caml_ba_dim_1"
+  external i32_length : i32 -> int = "%caml_ba_dim_1"
 
   external i64_get : i64 -> int -> int64 = "%caml_ba_unsafe_ref_1"
   external i64_set : i64 -> int -> int64 -> unit = "%caml_ba_unsafe_set_1"
   external int_get : ints -> int -> int = "%caml_ba_unsafe_ref_1"
   external int_set : ints -> int -> int -> unit = "%caml_ba_unsafe_set_1"
+  external i32_get : i32 -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  external i32_set : i32 -> int -> int32 -> unit = "%caml_ba_unsafe_set_1"
   (** Unchecked element access (see module comment). *)
 
   val i64_copy : i64 -> i64

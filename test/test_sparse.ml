@@ -73,6 +73,27 @@ let test_empty_and_full () =
     check_int "degree n-1" 8 (Sparse.out_degree full i)
   done
 
+(* Pair streams hold 4-byte columns, so the samplers reject n >= 2^31
+   (the sharded ones n >= 2^30) before they draw or allocate: at
+   n = 2^31 a single n-entry array would be 16 GB. *)
+let test_vertex_bound () =
+  let g = Prng.create 3 in
+  let probe = Prng.bits64 (Prng.copy g) in
+  let n31 = 1 lsl 31 and n30 = 1 lsl 30 in
+  Alcotest.check_raises "sample_gnp"
+    (Invalid_argument "Sparse.sample_gnp: n < 2^31") (fun () ->
+      ignore (Sparse.sample_gnp g ~n:n31 ~p:0.0));
+  Alcotest.check_raises "sample_planted"
+    (Invalid_argument "Sparse.sample_planted: n < 2^31") (fun () ->
+      ignore (Sparse.sample_planted g ~n:n31 ~p:0.0 ~k:0));
+  Alcotest.check_raises "sample_gnp_sharded"
+    (Invalid_argument "Sparse.sample_gnp_sharded: n < 2^30") (fun () ->
+      ignore (Sparse.sample_gnp_sharded g ~n:n30 ~p:0.0));
+  Alcotest.check_raises "sample_planted_sharded"
+    (Invalid_argument "Sparse.sample_planted_sharded: n < 2^30") (fun () ->
+      ignore (Sparse.sample_planted_sharded g ~n:n30 ~p:0.0 ~k:0));
+  check_bool "generator not advanced" true (Prng.bits64 g = probe)
+
 let test_accessors_vs_dense () =
   let n = 96 in
   let g = Prng.create 7 in
@@ -554,7 +575,11 @@ let test_splice_eq_overlay () =
       ignore
         (check_splice_eq_overlay ~label:(label "n=16384 p=0.01 k=64")
            Sparse.sample_planted_sharded sharded g ~n:16384 ~p:0.01 ~k:64);
-      (* Clique rows straddling two shards, on both sides of the switch. *)
+      (* Clique rows straddling two shards, on both sides of the switch.
+         At n = 16384, k = 1024 cuts the 64 shards into 1024 one-row
+         clique segments and the runs between them, so the bucketed
+         build's work units (runs of segments holding 2^18 pairs) start
+         and end among clique segments. *)
       List.iter
         (fun (n, p, k) ->
           let cs =
@@ -567,7 +592,7 @@ let test_splice_eq_overlay () =
             (label "n=%d k=%d clique holds a straddled row" n k)
             true
             (Array.exists (fun v -> List.mem v straddled) cs))
-        [ (2048, 0.02, 256); (4096, 0.13, 512) ])
+        [ (2048, 0.02, 256); (4096, 0.13, 512); (16384, 0.015, 1024) ])
     [ 1; 2; 42 ];
   (* Cliques holding vertex 0 and vertex n - 1: the first seed whose
      subset contains both. *)
@@ -701,6 +726,58 @@ let test_golden_csr_digests () =
     "digest and next draw per sampler call"
     (List.map row golden_csr)
     (List.map fresh golden_csr)
+
+(* Backward entries in the largest bucket the bucketed build forms for
+   [t]: the builder's layout rule (the narrowest power-of-two row range
+   that keeps the bucket count within min 1024 (m / 2^18)) applied to
+   each row's count of smaller neighbours. *)
+let largest_bucket (t : Bcc_kern.Spgraph.t) =
+  let n = t.Bcc_kern.Spgraph.n and m = Sparse.edge_count t / 2 in
+  let target = max 1 (min 1024 (m / (1 lsl 18))) in
+  let shift = ref 0 in
+  while ((n - 1) lsr !shift) + 1 > target do incr shift done;
+  let sizes = Array.make (((n - 1) lsr !shift) + 1) 0 in
+  for j = 0 to n - 1 do
+    let b = j lsr !shift in
+    Sparse.iter_out t j (fun i -> if i < j then sizes.(b) <- sizes.(b) + 1)
+  done;
+  Array.fold_left max 0 sizes
+
+(* The bucket pass copies each bucket into per-lane scratch that lives
+   across builds.  Grow it on a larger instance first, then build the
+   golden n = 16384 planted instances over the stale entries: their
+   digests must not move, at either pool size. *)
+let test_scratch_reuse_golden () =
+  let golden seed =
+    List.find
+      (fun (name, n, p, s, _, _) ->
+        name = "sample_planted_sharded" && n = 16384 && p = 0.01 && s = seed)
+      golden_csr
+  in
+  List.iter
+    (fun domains ->
+      with_domains domains (fun () ->
+          let big, _ =
+            Sparse.sample_planted_sharded (Prng.create 1) ~n:16384 ~p:0.015
+              ~k:64
+          in
+          List.iter
+            (fun seed ->
+              let name, n, p, _, digest, next = golden seed in
+              let g = Prng.create seed in
+              let t = golden_sample name g ~n ~p in
+              let label =
+                Printf.sprintf "%d domains, seed %d after a larger build"
+                  domains seed
+              in
+              check_bool (label ^ ": larger bucket first") true
+                (largest_bucket big > largest_bucket t);
+              Alcotest.(check string) (label ^ ": CSR digest") digest
+                (csr_digest t);
+              Alcotest.(check string) (label ^ ": next bits64") next
+                (Printf.sprintf "%016Lx" (Prng.bits64 g)))
+            [ 1; 42 ]))
+    [ 1; 4 ]
 
 (* ------------------------------------------------- kernel equality *)
 
@@ -1060,6 +1137,7 @@ let () =
           Alcotest.test_case "roundtrip at word boundaries" `Quick
             test_roundtrip_boundaries;
           Alcotest.test_case "empty and complete" `Quick test_empty_and_full;
+          Alcotest.test_case "n bound checked first" `Quick test_vertex_bound;
           Alcotest.test_case "accessors vs dense" `Quick test_accessors_vs_dense;
           Alcotest.test_case "degree sums vs dense" `Quick
             test_degree_sums_vs_dense;
@@ -1102,6 +1180,8 @@ let () =
         [
           Alcotest.test_case "sampler CSR digests" `Quick
             test_golden_csr_digests;
+          Alcotest.test_case "digests after a larger bucketed build" `Quick
+            test_scratch_reuse_golden;
         ] );
       ( "kernel oracle",
         [
