@@ -53,7 +53,7 @@ let par_for count f = ignore (Par.map_array f (Array.init count Fun.id))
    alone — each counted into its own histogram on the [Par] pool.
    Integer counts sum to the same totals in any order, so the result is
    the sequential scan's at any domain count. *)
-(* bcc-lint: allow kern/unsafe-index — check_t proved row_ptr.(n) = Buf.int_length cols and every column in [0, n), so each e < m reads cols in bounds and each histogram index j < n = Buf.int_length h *)
+(* bcc-lint: allow kern/unsafe-index — after check_t, row_ptr.(n) = Buf.int_length cols and every column is in [0, n) (its scan proved it, or a certified builder wrote it so), so each e < m reads cols in bounds and each histogram index j < n = Buf.int_length h *)
 let degree_sums t =
   Spgraph.check_t t;
   Prof.span "sparse:degree_sums" (fun () ->
@@ -99,7 +99,10 @@ let degree_sums t =
    the stream ever exists, and every pass is a plain loop over rows
    with no closure on the per-pair path.  Each pair is written both
    ways, forward into row i and backward into row j, so the result is
-   symmetric by construction and is built by [Spgraph.make_symmetric].
+   symmetric by construction.  Its rows are ascending, in range and
+   diagonal-free by construction too, so it is built by
+   [Spgraph.certified]: the O(n) offset checks run, the O(m) column
+   scan does not, and [cols] is written once and not re-read.
 
    Two strategies, byte-identical output, switched on the pair count:
    - below 2^20 pairs, a direct counting sort scatters each backward
@@ -350,7 +353,7 @@ let csr_of_segments ~n segs =
           done
         done)
   end;
-  Spgraph.make_symmetric ~n ~row_ptr ~cols
+  Spgraph.certified ~symmetric:true ~n ~row_ptr ~cols
 
 (* CSR twin of [Gnp.sample_fast]: the identical geometric-skip decode —
    same [Prng.float] draws in the same order, same cap, same row-major
@@ -788,7 +791,7 @@ let planted decode g ~n ~p ~k =
   (build ~n (Prof.span "sparse:splice" (fun () -> splice_clique segs cs)), c)
 
 (* Both planted samplers check their decode's bound on n before
-   [Prng.subset], which draws and allocates an n-entry index array. *)
+   [Prng.subset] draws anything. *)
 let sample_planted g ~n ~p ~k =
   if n >= 1 lsl 31 then invalid_arg "Sparse.sample_planted: n < 2^31";
   planted (fun g ~n ~p -> gnp_segments g ~n ~p) g ~n ~p ~k

@@ -60,12 +60,25 @@ module Buf = struct
     Bigarray.Array1.fill b 0;
     b
 
+  external advise_hugepages : ints -> unit = "bcc_buf_advise_hugepages"
+    [@@noalloc]
+
+  (* 32 MB: the most glibc's dynamic mmap threshold can reach on 64-bit
+     hosts, so a buffer this large is always a mapping of its own that
+     [free] unmaps, never heap memory shared with smaller blocks. *)
+  let hugepage_min_len = (32 lsl 20) / Bigarray.kind_size_in_bytes Bigarray.int
+
   (* No zero-fill: for buffers whose every slot is written before any
      read (the CSR fill passes, where the cursor prefix sums partition
      the buffer exactly) — at 10^7+ elements the wasted fill is a full
-     extra memory pass. *)
+     extra memory pass.  Since that write touches every page anyway, a
+     buffer of 32 MB or more is advised onto transparent huge pages
+     (buf_stubs.c): its first touch then faults 2 MB at a time instead
+     of 4 KB. *)
   let int_create_uninit n : ints =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n in
+    if n >= hugepage_min_len then advise_hugepages b;
+    b
 
   (* 4-byte buffers, for values known to be below 2^31 (the samplers'
      pair streams, whose columns are vertex ids): half the memory traffic
@@ -719,25 +732,28 @@ module Spgraph = struct
      with no diagonal.  The columns live on a [Buf.ints] so a 10^7-entry
      graph costs the GC nothing.
 
-     Every kernel validates the CSR invariants once at entry ([check_t])
-     and then runs its inner loops on unchecked [Buf] accesses; the
-     invariants make every derived index in-bounds.  The per-vertex loops
-     are sharded over fixed-grain row ranges ([sum_over_rows]): the chunk
-     boundaries depend only on n — never on the pool size — and the
-     integer partials are reduced left to right, so every result is
-     byte-identical for every BCC_DOMAINS (docs/PARALLELISM.md).  The
-     dense [Graph] kernels remain the in-run equality oracle at n <= 512
-     (test/test_sparse.ml, `bench sparse`). *)
+     Every kernel establishes the CSR invariants once at entry
+     ([check_t]: a scan of a caller's arrays, a no-op on a [certified]
+     builder's output) and then runs its inner loops on unchecked [Buf]
+     accesses; the invariants make every derived index in-bounds.  The
+     per-vertex loops are sharded over fixed-grain row ranges
+     ([sum_over_rows]): the chunk boundaries depend only on n — never on
+     the pool size — and the integer partials are reduced left to right,
+     so every result is byte-identical for every BCC_DOMAINS
+     (docs/PARALLELISM.md).  The dense [Graph] kernels remain the in-run
+     equality oracle at n <= 512 (test/test_sparse.ml, `bench sparse`). *)
 
-  (* [checked] caches a successful [check_t] pass: the CSR arrays are
-     immutable after construction everywhere in the tree, so once the
-     invariant scan has passed it never needs to run again.  Kernels
-     still call [check_t] at entry; the flag turns the n = 10^6 regime's
-     repeated O(n + m) scans (every [degree_sums] during recovery paid a
-     ~10^9-entry walk) into one scan per graph.  The only write is the
-     monotone [false -> true] after a full pass, so concurrent readers
-     in sharded kernels are safe.  [symmetric] is the constructing
-     caller's promise, never checked (see [make_symmetric]). *)
+  (* [checked] says the column invariants hold: either a [check_t] pass
+     proved them, or the graph came out of one of the library's own
+     builders ([certified]), which write them by construction.  The CSR
+     arrays are immutable after construction everywhere in the tree, so
+     once set the flag stays true.  Kernels still call [check_t] at
+     entry; the flag turns the n = 10^6 regime's repeated O(n + m) scans
+     (every [degree_sums] during recovery paid a ~10^9-entry walk) into
+     at most one scan per graph.  The only write is the monotone
+     [false -> true] after a full pass, so concurrent readers in sharded
+     kernels are safe.  [symmetric] is the constructing caller's
+     promise, never checked (see [make_symmetric]). *)
   type t = {
     n : int;
     row_ptr : int array;
@@ -792,6 +808,21 @@ module Spgraph = struct
     | () -> None
     | exception Invalid_argument msg -> Some msg
 
+  (* The O(n) offset checks: the right count and endpoints, monotone.
+     They are what puts every row's slice inside [cols], which every
+     unchecked row read relies on. *)
+  let check_offsets t =
+    if t.n < 0 then invalid_arg "Spgraph: negative vertex count";
+    if Array.length t.row_ptr <> t.n + 1 then
+      invalid_arg "Spgraph: row_ptr must have n + 1 offsets";
+    if t.row_ptr.(0) <> 0 then invalid_arg "Spgraph: row_ptr must start at 0";
+    if t.row_ptr.(t.n) <> Buf.int_length t.cols then
+      invalid_arg "Spgraph: row_ptr must end at the column count";
+    for i = 0 to t.n - 1 do
+      if t.row_ptr.(i) > t.row_ptr.(i + 1) then
+        invalid_arg "Spgraph: row_ptr must be monotone"
+    done
+
   (* Full invariant scan, O(n + m): offsets monotone with the right
      endpoints, every row strictly ascending, in range, diagonal-free.
      Kernels call this once before entering their unchecked loops.  The
@@ -802,16 +833,7 @@ module Spgraph = struct
      the sequential scan would raise, at any domain count. *)
   let check_t t =
     if not t.checked then begin
-      if t.n < 0 then invalid_arg "Spgraph: negative vertex count";
-      if Array.length t.row_ptr <> t.n + 1 then
-        invalid_arg "Spgraph: row_ptr must have n + 1 offsets";
-      if t.row_ptr.(0) <> 0 then invalid_arg "Spgraph: row_ptr must start at 0";
-      if t.row_ptr.(t.n) <> Buf.int_length t.cols then
-        invalid_arg "Spgraph: row_ptr must end at the column count";
-      for i = 0 to t.n - 1 do
-        if t.row_ptr.(i) > t.row_ptr.(i + 1) then
-          invalid_arg "Spgraph: row_ptr must be monotone"
-      done;
+      check_offsets t;
       let scan () =
         let failures = Array.to_list (chunk_ranges t.n (scan_rows t)) in
         Option.iter invalid_arg (List.find_map Fun.id failures)
@@ -827,6 +849,16 @@ module Spgraph = struct
 
   let make = create ~symmetric:false
   let make_symmetric = create ~symmetric:true
+
+  (* The library's own builders ([Sparse]'s CSR build and
+     [bidirectional_core] below) write valid rows by construction, so
+     they skip the O(m) column scan, a full pass over the largest buffer
+     of a sampled instance; test_sparse.ml re-scans every output it
+     builds. *)
+  let certified ~symmetric ~n ~row_ptr ~cols =
+    let t = { n; row_ptr; cols; symmetric; checked = true } in
+    check_offsets t;
+    t
 
   let degree t i =
     check_vertex t i;
@@ -962,9 +994,8 @@ module Spgraph = struct
       0
     in
     ignore (sum_over_rows n fill_range);
-    (* Valid by construction (each row is an ascending merge output), but
-       let [check_t] certify it on first use like any other instance. *)
-    { n; row_ptr; cols; symmetric = false; checked = false }
+    (* Each row is an ascending merge of two checked rows. *)
+    certified ~symmetric:false ~n ~row_ptr ~cols
 
   (* First offset in row i whose column exceeds i — the row's forward
      (upper-triangle) suffix.  On a symmetric graph the forward lists are

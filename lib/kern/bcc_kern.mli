@@ -49,7 +49,13 @@ module Buf : sig
   (** {!int_create} without the zero-fill — only for buffers whose every
       slot is written before any read (e.g. a CSR fill pass whose cursor
       prefix sums partition the buffer exactly); reading an unwritten
-      slot is unspecified garbage. *)
+      slot is unspecified garbage.  Since that write touches every page,
+      a buffer of 32 MB or more is advised onto transparent huge pages
+      ([madvise(MADV_HUGEPAGE)] on its page-aligned interior), so its
+      first touch faults 2 MB at a time instead of 4 KB.  The advice is
+      invisible to callers: errors are ignored, it is a no-op where the
+      call does not exist, and the buffer is allocated and freed as
+      before. *)
 
   type i32 = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
   (** 4-byte buffer for values below 2^31 (the samplers' pair streams):
@@ -176,12 +182,17 @@ module Spgraph : sig
     symmetric : bool;
     mutable checked : bool;
   }
-  (** [symmetric] is set only by {!make_symmetric}: every entry (i, j)
-      has its reverse (j, i), so out-degree equals in-degree and every
-      out-neighbour is a mutual one.  [checked] caches a successful
-      {!check_t} pass; the CSR arrays are immutable after construction,
-      so the O(n + m) invariant scan runs once per graph rather than once
-      per kernel call (at n = 10^6 every scan walks ~10^9 entries). *)
+  (** [symmetric] is set by {!make_symmetric} and by the sampler builds
+      through {!certified}: every entry (i, j) has its reverse (j, i), so
+      out-degree equals in-degree and every out-neighbour is a mutual
+      one.  [checked] says the column invariants hold.  On a graph built
+      from a caller's arrays ({!make}, {!make_symmetric}) it is set by
+      the first successful {!check_t} scan; the CSR arrays are immutable
+      after construction, so that O(n + m) scan runs once per graph
+      rather than once per kernel call (at n = 10^6 every scan walks
+      ~10^9 entries).  On a graph the library built itself
+      ({!certified}) it is set from the start, by construction, and no
+      scan ever runs. *)
 
   val make : n:int -> row_ptr:int array -> cols:Buf.ints -> t
   (** Validating constructor; raises [Invalid_argument] on any broken
@@ -193,8 +204,20 @@ module Spgraph : sig
       matched by (j, i), flagged [symmetric].  That obligation is the
       caller's: {!check_t} does not test it, and a one-way entry makes
       the degree-recovery shortcuts that trust the flag return wrong
-      results.  Its one caller is [Sparse]'s CSR builder, which writes
-      each sampled pair both ways. *)
+      results. *)
+
+  val certified :
+    symmetric:bool -> n:int -> row_ptr:int array -> cols:Buf.ints -> t
+  (** The constructor of the library's own builders: [Sparse]'s sampler
+      CSR build ([symmetric:true]) and {!bidirectional_core}
+      ([symmetric:false]), whose rows are strictly ascending, in range
+      and diagonal-free by construction.  It runs only {!check_t}'s O(n)
+      offset checks (count, endpoints, monotone: what every unchecked
+      row read relies on), raising their [Invalid_argument], and returns
+      the graph with [checked] set, so its columns are written once and
+      never re-read to be validated.  Not for a caller's arrays: those
+      go through {!make} or {!make_symmetric}, whose full scan
+      test/test_sparse.ml also runs on every builder output it makes. *)
 
   val check_t : t -> unit
   (** O(n + m) invariant scan: offsets monotone with the right endpoints,
@@ -203,8 +226,9 @@ module Spgraph : sig
       fixed 256-row chunks on the [Par] pool, and when several rows are
       malformed the lowest one's message is raised, at any
       [BCC_DOMAINS].  Amortized O(1): a pass that succeeds sets
-      [checked] and later calls return immediately (only a scan that
-      runs opens the [kern:spgraph.check] profiler span). *)
+      [checked] and later calls return immediately, as they do from the
+      start on a {!certified} graph (only a scan that runs opens the
+      [kern:spgraph.check] profiler span). *)
 
   val check_vertex : t -> int -> unit
 
@@ -234,7 +258,7 @@ module Spgraph : sig
   val bidirectional_core : t -> t
   (** Keep (i, j) iff (j, i) is present — [A land A^T], the sparse
       {!Graph.bidirectional_core}.  Two sharded passes (survivor counts,
-      then disjoint-range fill). *)
+      then disjoint-range fill); the result is built by {!certified}. *)
 
   val count_triangles : t -> int
   (** Triangles of a symmetric adjacency, each once as [i < j < l]: per

@@ -225,17 +225,26 @@ let bitvec g len =
   end;
   v
 
+module Int_tbl = Hashtbl.Make (Int)
+
 let subset g ~n ~k =
   if k < 0 || k > n then invalid_arg "Prng.subset: need 0 <= k <= n";
-  (* Partial Fisher-Yates over an index array, with the uniform words
-     prefetched through [Block.fill_bits64].  Each refill requests
-     exactly the number of swaps still owed — a lower bound on the words
-     the rejection loop will consume — so the buffer always drains
+  (* Partial Fisher-Yates over the identity array 0..n-1, kept virtual:
+     [moved] holds only the slots a swap has written (slot x holds x
+     until then), so a call costs O(k) memory whatever n is.  Swap i
+     takes slot j's value (j >= i) into the subset and parks slot i's
+     value at slot j; no swap reads a slot below its own i again, so
+     slot i itself needs no write.  The uniform words are prefetched
+     through [Block.fill_bits64].  Each refill requests exactly the
+     number of swaps still owed — a lower bound on the words the
+     rejection loop will consume — so the buffer always drains
      completely and the word stream (and hence the resulting subset and
      the generator's end state) is identical to the scalar draw-per-swap
      path this replaces. *)
-  let a = Array.init n (fun i -> i) in
+  let picked = Array.make k 0 in
   if k > 0 then begin
+    let moved = Int_tbl.create k in
+    let held x = Option.value (Int_tbl.find_opt moved x) ~default:x in
     let bufcap = min k 4096 in
     let words = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout bufcap in
     let avail = ref 0 in
@@ -257,12 +266,12 @@ let subset g ~n ~k =
         if v - r > max_int - bound + 1 then draw () else r
       in
       let j = i + draw () in
-      let tmp = a.(i) in
-      a.(i) <- a.(j);
-      a.(j) <- tmp
+      picked.(i) <- held j;
+      Int_tbl.replace moved j (held i)
     done
   end;
-  List.sort Int.compare (Array.to_list (Array.sub a 0 k))
+  Array.sort Int.compare picked;
+  Array.to_list picked
 
 let shuffle g a =
   let n = Array.length a in

@@ -89,7 +89,9 @@ val bitvec : t -> int -> Bitvec.t
 val subset : t -> n:int -> k:int -> int list
 (** [subset g ~n ~k] is a uniform size-[k] subset of [{0..n-1}], sorted
     increasingly.  This is the clique-location distribution [S_k^[n]] of the
-    paper.  Requires [0 <= k <= n]. *)
+    paper.  Requires [0 <= k <= n].  A partial Fisher-Yates of [k] swaps
+    that keeps only the swapped slots, so a call takes O(k) memory,
+    whatever [n]. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)

@@ -310,6 +310,28 @@ let test_buf_i64_vs_oracle () =
       check_bool "copy unaffected by set" true (to_array c = src))
     buf_sizes
 
+(* [Buf.int_create_uninit] advises buffers of 32 MB or more onto
+   transparent huge pages.  The advice must change nothing a caller can
+   see: just below, at and above that length, and at length 0, the
+   buffer has the length asked for and every slot round-trips. *)
+let test_buf_uninit_hugepage_threshold () =
+  let module Buf = Bcc_kern.Buf in
+  let threshold = (32 lsl 20) / Bigarray.kind_size_in_bytes Bigarray.int in
+  List.iter
+    (fun n ->
+      let b = Buf.int_create_uninit n in
+      check_int (Printf.sprintf "length %d" n) n (Buf.int_length b);
+      let v i = (i * 7919) lxor n in
+      for i = 0 to n - 1 do
+        Buf.int_set b i (v i)
+      done;
+      let bad = ref 0 in
+      for i = 0 to n - 1 do
+        if Buf.int_get b i <> v i then incr bad
+      done;
+      check_int (Printf.sprintf "slots that do not round-trip at %d" n) 0 !bad)
+    [ 0; threshold - 1; threshold; threshold + 4097 ]
+
 (* ------------------------------------------------------------ mul_wide *)
 
 let test_mul_wide_vs_ref () =
@@ -446,6 +468,8 @@ let () =
       ( "buf",
         [
           Alcotest.test_case "i64 vs oracle" `Quick test_buf_i64_vs_oracle;
+          Alcotest.test_case "int_create_uninit around the huge-page length"
+            `Quick test_buf_uninit_hugepage_threshold;
         ] );
       ( "hit counts",
         [

@@ -272,6 +272,64 @@ let test_subset_uses_scalar_stream () =
   done;
   check_bool "same end state" true (Int64.equal (Prng.bits64 a) (Prng.bits64 b))
 
+(* [Prng.subset] as it was before it kept only the swapped slots: the
+   partial Fisher-Yates over an n-entry index array, with the same
+   prefetch of exactly the swaps still owed.  The reference the O(k)
+   version must match: same words drawn, same sorted subset. *)
+let reference_subset g ~n ~k =
+  let a = Array.init n (fun i -> i) in
+  if k > 0 then begin
+    let bufcap = min k 4096 in
+    let words = Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout bufcap in
+    let avail = ref 0 and cursor = ref 0 in
+    let mask = Int64.of_int max_int in
+    for i = 0 to k - 1 do
+      let bound = n - i in
+      let rec draw () =
+        if !cursor >= !avail then begin
+          let want = min bufcap (k - i) in
+          Prng.Block.fill_bits64 g words ~pos:0 ~len:want;
+          avail := want;
+          cursor := 0
+        end;
+        let w = Bigarray.Array1.get words !cursor in
+        incr cursor;
+        let v = Int64.to_int (Int64.logand w mask) in
+        let r = v mod bound in
+        if v - r > max_int - bound + 1 then draw () else r
+      in
+      let j = i + draw () in
+      let tmp = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- tmp
+    done
+  end;
+  List.sort Int.compare (Array.to_list (Array.sub a 0 k))
+
+(* Equal subsets and equal generator end states (the next two words) at
+   k = 0, 1 and n, across the 4096-word refill seam, and at random
+   (n, k, seed). *)
+let test_subset_vs_reference () =
+  let same ~seed ~n ~k =
+    let a = Prng.create seed and b = Prng.create seed in
+    let name = Printf.sprintf "n=%d k=%d seed=%d" n k seed in
+    check_bool (name ^ ": same subset") true
+      (Prng.subset a ~n ~k = reference_subset b ~n ~k);
+    check_bool (name ^ ": same end state") true
+      (List.init 2 (fun _ -> Prng.bits64 a) = List.init 2 (fun _ -> Prng.bits64 b))
+  in
+  List.iter
+    (fun (n, k) -> same ~seed:11 ~n ~k)
+    [
+      (0, 0); (1, 0); (1, 1); (2, 1); (2, 2); (64, 0); (64, 1); (64, 64);
+      (200_000, 1); (4097, 4097); (10_000, 10_000); (200_000, 338);
+    ];
+  let g = Prng.create 2026 in
+  for _ = 1 to 300 do
+    let n = 1 + Prng.int g 5000 in
+    same ~seed:(Prng.int g 1_000_000) ~n ~k:(Prng.int g (n + 1))
+  done
+
 (* Known-answer vectors: fixed-seed outputs recorded once and pinned, so
    a change to the generator, its seeding, [split] or a fill loop fails
    here even though every in-run comparison above (block vs scalar,
@@ -364,6 +422,8 @@ let () =
           Alcotest.test_case "fills allocate nothing" `Quick test_fill_no_alloc;
           Alcotest.test_case "subset stream identity" `Quick
             test_subset_uses_scalar_stream;
+          Alcotest.test_case "subset = index-array reference" `Quick
+            test_subset_vs_reference;
         ] );
       ( "known answers",
         [

@@ -12,6 +12,39 @@ let with_domains domains f =
   Par.set_domain_count domains;
   Fun.protect ~finally:(fun () -> Par.set_domain_count old) f
 
+(* The CSRs the library builds itself (the samplers' build and
+   [Spgraph.bidirectional_core]) are certified: they skip the O(m)
+   column scan.  This suite passes every one it makes back through the
+   scanning constructor on the same arrays ([make_symmetric] for a
+   flagged graph, else [make]), so a builder that writes a malformed
+   row still fails here. *)
+let rescanned (g : Bcc_kern.Spgraph.t) =
+  let module S = Bcc_kern.Spgraph in
+  let make = if g.S.symmetric then S.make_symmetric else S.make in
+  ignore (make ~n:g.S.n ~row_ptr:g.S.row_ptr ~cols:g.S.cols);
+  g
+
+module Lib_sparse = Sparse
+
+module Sparse = struct
+  include Lib_sparse
+
+  let sample_gnp ?stream_cap g ~n ~p =
+    rescanned (sample_gnp ?stream_cap g ~n ~p)
+
+  let sample_gnp_sharded g ~n ~p = rescanned (sample_gnp_sharded g ~n ~p)
+
+  let sample_planted g ~n ~p ~k =
+    let t, c = sample_planted g ~n ~p ~k in
+    (rescanned t, c)
+
+  let sample_planted_sharded g ~n ~p ~k =
+    let t, c = sample_planted_sharded g ~n ~p ~k in
+    (rescanned t, c)
+end
+
+let bidirectional_core t = rescanned (Bcc_kern.Spgraph.bidirectional_core t)
+
 let spgraph_equal (a : Bcc_kern.Spgraph.t) (b : Bcc_kern.Spgraph.t) =
   a.Bcc_kern.Spgraph.n = b.Bcc_kern.Spgraph.n
   && a.Bcc_kern.Spgraph.row_ptr = b.Bcc_kern.Spgraph.row_ptr
@@ -173,6 +206,86 @@ let test_make_rejects_malformed () =
   expect "column out of range" "column out of range" ~n:2
     ~row_ptr:[| 0; 1; 1 |] ~cols:[ 5 ];
   expect "diagonal" "diagonal entry" ~n:2 ~row_ptr:[| 0; 1; 1 |] ~cols:[ 0 ]
+
+(* [certified] skips the column scan but keeps the offset checks: every
+   offset case of [test_make_rejects_malformed] raises the same message,
+   while a malformed row is its callers' obligation and passes.  What it
+   accepts comes back marked checked. *)
+let test_certified_checks_offsets () =
+  let ints l = Bcc_kern.Buf.int_of_array (Array.of_list l) in
+  let verdict ~n ~row_ptr ~cols =
+    match
+      Bcc_kern.Spgraph.certified ~symmetric:true ~n ~row_ptr ~cols:(ints cols)
+    with
+    | t ->
+        check_bool "accepted graphs are marked checked" true
+          t.Bcc_kern.Spgraph.checked;
+        None
+    | exception Invalid_argument msg -> Some msg
+  in
+  let expect name msg ~n ~row_ptr ~cols =
+    check_verdict name (Some ("Spgraph: " ^ msg)) (verdict ~n ~row_ptr ~cols)
+  in
+  expect "negative n" "negative vertex count" ~n:(-1) ~row_ptr:[||] ~cols:[];
+  expect "offset count" "row_ptr must have n + 1 offsets" ~n:2
+    ~row_ptr:[| 0; 0 |] ~cols:[];
+  expect "first offset" "row_ptr must start at 0" ~n:2 ~row_ptr:[| 1; 1; 1 |]
+    ~cols:[ 1 ];
+  expect "last offset" "row_ptr must end at the column count" ~n:2
+    ~row_ptr:[| 0; 1; 0 |] ~cols:[ 1 ];
+  expect "offsets not monotone" "row_ptr must be monotone" ~n:3
+    ~row_ptr:[| 0; 2; 1; 2 |] ~cols:[ 1; 2 ];
+  expect "row past the columns" "row_ptr must be monotone" ~n:8
+    ~row_ptr:[| 0; 5; 4; 4; 4; 4; 4; 4; 4 |] ~cols:[ 1; 2; 3; 4 ];
+  check_verdict "a descending row is not scanned" None
+    (verdict ~n:3 ~row_ptr:[| 0; 2; 2; 2 |] ~cols:[ 2; 1 ]);
+  check_verdict "a valid CSR" None
+    (verdict ~n:3 ~row_ptr:[| 0; 2; 3; 4 |] ~cols:[ 1; 2; 0; 0 ])
+
+(* Every build strategy's certified output against the full scan: the
+   direct scatter (below 2^20 pairs) and the bucketed sort (above), each
+   from one segment ([sample_gnp], [sample_planted]) and from 64
+   ([sample_gnp_sharded], [sample_planted_sharded]), with and without
+   the planted splice, and the bidirectional core, at 1 and 4 domains.
+   [make_symmetric] (or [make]) on the same arrays must accept each. *)
+let test_builds_pass_full_scan () =
+  let planted sample g ~n ~p = fst (sample g ~n ~p ~k:64) in
+  let cases =
+    [
+      ("gnp", Lib_sparse.sample_gnp ?stream_cap:None);
+      ("planted", planted Lib_sparse.sample_planted);
+      ("sharded", Lib_sparse.sample_gnp_sharded);
+      ("planted sharded", planted Lib_sparse.sample_planted_sharded);
+    ]
+  in
+  List.iter
+    (fun domains ->
+      with_domains domains (fun () ->
+          List.iter
+            (fun (n, p, bucketed) ->
+              List.iter
+                (fun (name, sample) ->
+                  let label =
+                    Printf.sprintf "%s n=%d p=%g at %d domains" name n p
+                      domains
+                  in
+                  let g = sample (Prng.create (n + domains)) ~n ~p in
+                  check_bool (label ^ ": on its side of the 2^20 switch")
+                    bucketed
+                    (Sparse.edge_count g / 2 >= 1 lsl 20);
+                  check_bool (label ^ ": certified") true
+                    g.Bcc_kern.Spgraph.checked;
+                  check_verdict (label ^ ": full scan") None
+                    (match rescanned g with
+                    | _ -> None
+                    | exception Invalid_argument msg -> Some msg);
+                  check_verdict (label ^ ": full scan of its core") None
+                    (match bidirectional_core g with
+                    | _ -> None
+                    | exception Invalid_argument msg -> Some msg))
+                cases)
+            [ (4096, 0.01, false); (16384, 0.01, true) ]))
+    [ 1; 4 ]
 
 (* The column scan runs on 256-row chunks in parallel.  On the 4096-row
    cycle (row i = {i - 1, i + 1} mod n, 16 chunks) with defects in two
@@ -789,7 +902,7 @@ let test_kernels_vs_dense () =
       let dg = Gnp.sample_fast (Prng.create seed) ~n ~p in
       let sg = Sparse.of_digraph dg in
       let dcore = Digraph.bidirectional_core dg in
-      let score = Bcc_kern.Spgraph.bidirectional_core sg in
+      let score = bidirectional_core sg in
       (* The core itself must match entry for entry. *)
       let label = Printf.sprintf "n=%d p=%g seed=%d" n p seed in
       Array.iteri
@@ -825,7 +938,7 @@ let test_core_on_asymmetric_input () =
   done;
   let sg = Sparse.of_digraph dg in
   let dcore = Digraph.bidirectional_core dg in
-  let score = Bcc_kern.Spgraph.bidirectional_core sg in
+  let score = bidirectional_core sg in
   Array.iteri
     (fun i row ->
       check_int (Printf.sprintf "asym core degree %d" i) (Bitvec.popcount row)
@@ -966,7 +1079,7 @@ let test_samplers_flag_symmetric () =
   check_bool "of_digraph unflagged" false
     (Sparse.of_digraph (Sparse.to_digraph sg)).Bcc_kern.Spgraph.symmetric;
   check_bool "bidirectional_core unflagged" false
-    (Bcc_kern.Spgraph.bidirectional_core sg).Bcc_kern.Spgraph.symmetric
+    (bidirectional_core sg).Bcc_kern.Spgraph.symmetric
 
 (* A clique planted both ways over random one-way edges. *)
 let one_way_planted ~n ~k seed =
@@ -1080,7 +1193,7 @@ let test_top_degree_vs_heapsort () =
 let test_kernels_pool_independent () =
   let sg = Sparse.sample_gnp (Prng.create 11) ~n:1024 ~p:0.02 in
   let run () =
-    let core = Bcc_kern.Spgraph.bidirectional_core sg in
+    let core = bidirectional_core sg in
     ( Bcc_kern.Spgraph.count_triangles core,
       Bcc_kern.Spgraph.count_k4 core,
       Bcc_kern.Buf.int_to_array core.Bcc_kern.Spgraph.cols )
@@ -1145,6 +1258,10 @@ let () =
             test_make_rejects_malformed;
           Alcotest.test_case "lowest failing row wins" `Quick
             test_lowest_row_message_wins;
+          Alcotest.test_case "certified checks offsets only" `Quick
+            test_certified_checks_offsets;
+          Alcotest.test_case "certified builds pass the full scan" `Quick
+            test_builds_pass_full_scan;
           QCheck_alcotest.to_alcotest prop_corruption_rejected;
         ] );
       ( "stream identity",
